@@ -31,6 +31,7 @@ grant, matching how BGSAVE fires at an event-loop boundary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from ..errors import InvalidArgumentError
@@ -171,10 +172,12 @@ class SnapshotCoordinator:
         return done // per_wave
 
     def flush(self):
-        """Execute everything still scheduled (end of campaign)."""
-        horizon = (self.n_waves + 1) * self.wave_interval_ns
-        last = self._last_release_ns + self.wave_interval_ns
-        self.pump(max(horizon, last) * 2 + 1)
+        """Execute everything still scheduled (end of campaign).
+
+        Drains until nothing is pending or active: sub-waves that overrun
+        their interval push later grants past any horizon fixed up front.
+        """
+        self.pump(math.inf)
         self.waves_completed = self._count_waves()
 
     def stats(self):

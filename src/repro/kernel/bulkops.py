@@ -234,7 +234,7 @@ def _fill_absent(kernel, mm, vma, leaf, slot_start, lo_index, hi_index,
     kernel.pages.on_alloc_bulk(pfns, PG_ANON | (PG_DIRTY if is_write else 0))
     sub[absent] = _entries_for(pfns, vma.writable, dirty=is_write)
     kernel.note_table_write(leaf, n)
-    rmap_add_bulk(kernel, pfns, leaf.pfn)
+    rmap_add_bulk(kernel, pfns, leaf, lo_index + np.nonzero(absent)[0])
     mm.add_rss(n, file_backed=False)
     cost.charge(
         "bulk_demand_zero",
@@ -285,12 +285,12 @@ def _bulk_cow(kernel, mm, leaf, lo_index, sub, ro_mask, events):
     n_file = count_file_pages(kernel, src)
     if kernel.rmap is not None:
         kernel.pages.ref_dec_bulk(src)  # the pins; refs stay >= 1 here
-        rmap_remove_bulk(kernel, src, leaf.pfn)
+        rmap_remove_bulk(kernel, src)
     zeroed = kernel.pages.ref_dec_bulk(src)
     free_anon_frames(kernel, zeroed)
     sub[copy_positions] = _entries_for(dst, writable=True, dirty=True)
     kernel.note_table_write(leaf, n)
-    rmap_add_bulk(kernel, dst, leaf.pfn)
+    rmap_add_bulk(kernel, dst, leaf, lo_index + copy_positions)
     if n_file:
         mm.sub_rss(n_file, file_backed=True)
         mm.add_rss(n_file, file_backed=False)

@@ -40,7 +40,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import KernelBug
-from ..mem.page import HUGE_PAGE_ORDER, PAGE_SIZE, PG_FILE, PTRS_PER_TABLE
+from ..mem.page import (
+    HUGE_PAGE_ORDER,
+    PAGE_SIZE,
+    PG_FILE,
+    PTRS_PER_TABLE,
+    has_duplicates,
+)
 from ..paging.entries import (
     BIT_PRESENT,
     BIT_PS,
@@ -104,8 +110,11 @@ FASTPATH_HANDLED = {
     "pt_sharers": "the analytic paths maintain sharer lists themselves "
                   "(drop_table_sharer per surviving leaf), pinned "
                   "bit-identical by the equivalence suite",
-    "rmap": "rmap_add_bulk/rmap_remove_bulk perform the same reverse-map "
-            "updates the per-event walk would, batched",
+    "rmap": "fork raises the mapcount of already-mapped pages with one "
+            "rmap_add_bulk (no LRU edge can fire) and its child tables join "
+            "their parents' families via alloc_table(copy_of=) as in "
+            "classic_copy_slot; exit drops the same mapcounts with one "
+            "rmap_remove_bulk per table batch, in the per-event pfn order",
     "swap": "fork duplicates swap entries via swap_dup_entries; exit bails "
             "to the per-event walk when any live swap entry is present",
     "reclaim": "_fork_headroom_ok proves the copy finishes above wm_low, so "
@@ -142,13 +151,6 @@ def _fork_headroom_ok(kernel, needed):
     if reclaim is not None:
         return free - needed >= reclaim.wm_low
     return free >= needed
-
-
-def _has_duplicates(pfns):
-    if len(pfns) < 2:
-        return False
-    ordered = np.sort(pfns)
-    return bool((ordered[1:] == ordered[:-1]).any())
 
 
 def _cow_mask_for_table(mm, table_base):
@@ -199,13 +201,12 @@ def fast_copy_mm_classic(kernel, parent_mm, child_mm):
         leaf_pos = np.nonzero(present & ~huge)[0]
         huge_pos = np.nonzero(present & huge)[0]
         parent_pfns = entry_pfn(entries[leaf_pos]).astype(np.int64)
-        parent_rows = np.empty(len(leaf_pos), dtype=np.int64)
-        for i, ppfn in enumerate(parent_pfns.tolist()):
-            row = kernel.resolve_table(ppfn).row
-            if row < 0:
-                return False  # store-less table (unit-test construction)
-            parent_rows[i] = row
-        plan.append((pmd, base, leaf_pos, huge_pos, parent_pfns, parent_rows))
+        parents = [kernel.resolve_table(ppfn) for ppfn in parent_pfns.tolist()]
+        parent_rows = np.array([t.row for t in parents], dtype=np.int64)
+        if (parent_rows < 0).any():
+            return False  # store-less table (unit-test construction)
+        plan.append((pmd, base, leaf_pos, huge_pos, parent_pfns, parents,
+                     parent_rows))
         n_leaf_total += len(leaf_pos)
         pud_keys.add(base // LEVEL_SPAN[LEVEL_PGD])
     if not _fork_headroom_ok(kernel, n_leaf_total + len(plan) + len(pud_keys)):
@@ -216,7 +217,6 @@ def fast_copy_mm_classic(kernel, parent_mm, child_mm):
     factor = cost.contention_factor()
     store = kernel.entry_store
     pages = kernel.pages
-    swap = kernel.swap
 
     # Prologue: identical to begin_classic_copy.
     cost.charge_fork_fixed(len(parent_mm.vmas))
@@ -225,9 +225,10 @@ def fast_copy_mm_classic(kernel, parent_mm, child_mm):
 
     charge_ids = []
     charge_ns = []
+    copied = []
     n_huge_total = 0
 
-    for pmd, base, leaf_pos, huge_pos, parent_pfns, parent_rows in plan:
+    for pmd, base, leaf_pos, huge_pos, parent_pfns, parents, parent_rows in plan:
         # Upper levels first, then one leaf table per slot in address
         # order — the exact allocator call sequence of the per-event walk.
         child_pmd = builder.pmd_table_for(base)
@@ -243,7 +244,7 @@ def fast_copy_mm_classic(kernel, parent_mm, child_mm):
             # pre-check above proves these allocations cannot fail here.
             for i in range(n_slots):
                 # sancheck: ignore[failpoint] -- unreachable under fault injection: fast_path_ok() bails when failpoints are armed
-                leaf = child_mm.alloc_table(LEVEL_PTE)
+                leaf = child_mm.alloc_table(LEVEL_PTE, copy_of=parents[i])
                 child_rows[i] = leaf.row
                 child_pfns[i] = leaf.pfn
 
@@ -269,13 +270,9 @@ def fast_copy_mm_classic(kernel, parent_mm, child_mm):
                 n_file = int(np.count_nonzero(pages.flags[all_pfns] & PG_FILE))
                 child_mm.add_rss(n_file, file_backed=True)
                 child_mm.add_rss(len(all_pfns) - n_file, file_backed=False)
-            if swap is not None:
-                kernel.swap_dup_entries(matrix.ravel())
-                offsets = np.zeros(n_slots + 1, dtype=np.int64)
-                np.cumsum(counts, out=offsets[1:])
-                for i in range(n_slots):
-                    rmap_add_bulk(kernel, all_pfns[offsets[i]:offsets[i + 1]],
-                                  int(child_pfns[i]))
+            kernel.swap_dup_entries(matrix.ravel())
+            if kernel.rmap is not None:
+                copied.append(all_pfns)
             child_pmd.entries[leaf_pos] = (
                 ((child_pfns.astype(np.uint64) << np.uint64(PFN_SHIFT))
                  & np.uint64(PFN_MASK))
@@ -326,6 +323,8 @@ def fast_copy_mm_classic(kernel, parent_mm, child_mm):
         charge_ids.append(ids.ravel())
         charge_ns.append(ns.ravel())
 
+    if copied:
+        rmap_add_bulk(kernel, np.concatenate(copied))
     if charge_ids:
         cost.charge_many(np.concatenate(charge_ids),
                          np.concatenate(charge_ns), _FORK_FNS)
@@ -384,7 +383,7 @@ def fast_exit_release_pmd_table(kernel, mm, pmd_table, table_base):
         pres = present_mask(matrix)
         counts = pres.sum(axis=1).astype(np.int64)
         all_pfns = entry_pfn(matrix[pres]).astype(np.int64)
-        if _has_duplicates(all_pfns):
+        if has_duplicates(all_pfns):
             # A duplicate pfn across slots changes which slot's free_bulk
             # batch releases the page; keep the per-event grouping.
             return False
@@ -394,7 +393,7 @@ def fast_exit_release_pmd_table(kernel, mm, pmd_table, table_base):
             # reorder.  Rare on the exit path; per-event handles it.
             return False
     heads = entry_pfn(entries[huge_positions]).astype(np.int64)
-    if _has_duplicates(heads):
+    if has_duplicates(heads):
         return False
 
     cost = kernel.cost
@@ -421,10 +420,7 @@ def fast_exit_release_pmd_table(kernel, mm, pmd_table, table_base):
         np.cumsum(counts, out=offsets[1:])
         # Reverse mappings first: eligibility reads page flags, which the
         # bulk free below resets.
-        if kernel.rmap is not None:
-            for i, table in enumerate(dead_tables):
-                rmap_remove_bulk(kernel, all_pfns[offsets[i]:offsets[i + 1]],
-                                 table.pfn)
+        rmap_remove_bulk(kernel, all_pfns)
         if len(all_pfns):
             pages.refcount[all_pfns] -= 1
             newrefs = pages.refcount[all_pfns]
@@ -444,18 +440,21 @@ def fast_exit_release_pmd_table(kernel, mm, pmd_table, table_base):
             zeroed = all_pfns
         allocator = kernel.allocator
         pt_sharers = kernel.pt_sharers
+        rmap = kernel.rmap
         for i, table in enumerate(dead_tables):
             seg = slice(offsets[i], offsets[i + 1])
             slot_zeroed = all_pfns[seg][zeroed_mask[seg]]
             if len(slot_zeroed):
                 # ref_dec_bulk hands free_anon_frames a sorted unique
                 # array; free_bulk re-sorts internally and slot_zeroed is
-                # duplicate-free (the _has_duplicates bail), so passing it
+                # duplicate-free (the has_duplicates bail), so passing it
                 # unsorted reaches the identical allocator state.
                 allocator.free_bulk(slot_zeroed)
             if pt_sharers is not None:
                 drop_table_sharer(kernel, table.pfn, mm)
                 pt_sharers.pop(table.pfn, None)
+            if rmap is not None:
+                rmap.leave(table.pfn)
             kernel.unregister_table(table)  # re-zeroes the packed row
             allocator.free(table.pfn, 0)
         kernel.phys.zero_bulk(np.concatenate([zeroed, dead_pfns]))

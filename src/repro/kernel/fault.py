@@ -88,7 +88,7 @@ def swap_in_entry(kernel, mm, vma, leaf, pte_index, is_write):
         points.tracepoint("fault.swap_in", slot=slot, pfn=pfn,
                           cache_hit=cache_hit)
     kernel.pages.ref_inc(pfn)  # the table's ownership reference
-    rmap_add(kernel, pfn, leaf.pfn)
+    rmap_add(kernel, pfn, leaf, pte_index)
     # The PTE's slot reference is consumed; when it was the last one the
     # slot is released and the cache entry (with its page ref) goes too.
     kernel.swap_put(slot)
@@ -213,7 +213,7 @@ class FaultHandler:
             pfn, writable=vma.writable, user=True, dirty=is_write, accessed=True,
         ))
         kernel.note_table_write(leaf)
-        rmap_add(kernel, pfn, leaf.pfn)
+        rmap_add(kernel, pfn, leaf, pte_index)
         mm.add_rss(1, file_backed=False)
         kernel.stats.demand_zero_faults += 1
         if points.enabled:
@@ -244,7 +244,7 @@ class FaultHandler:
                 new_pfn, writable=True, user=True, dirty=True, accessed=True,
             ))
             kernel.note_table_write(leaf)
-            rmap_add(kernel, new_pfn, leaf.pfn)
+            rmap_add(kernel, new_pfn, leaf, pte_index)
             mm.add_rss(1, file_backed=False)
             if points.enabled:
                 points.tracepoint("fault.file", vaddr=vaddr, pfn=new_pfn,
@@ -313,7 +313,7 @@ class FaultHandler:
         kernel.charge_numa_copy(pfn)
         if kernel.rmap is not None:
             kernel.pages.ref_dec(pfn)  # drop the pin
-            rmap_remove(kernel, pfn, leaf.pfn)  # this mapping is replaced
+            rmap_remove(kernel, pfn)  # this mapping is replaced
         if kernel.pages.ref_dec(pfn) == 0:
             # Possible when the last other reference vanished between the
             # refcount read and here in a real kernel; in the model it
@@ -323,7 +323,7 @@ class FaultHandler:
             new_pfn, writable=True, user=True, dirty=True, accessed=True,
         ))
         kernel.note_table_write(leaf)
-        rmap_add(kernel, new_pfn, leaf.pfn)
+        rmap_add(kernel, new_pfn, leaf, pte_index)
         if is_file_page:
             mm.sub_rss(1, file_backed=True)
             mm.add_rss(1, file_backed=False)

@@ -170,7 +170,7 @@ def classic_copy_slot(kernel, parent_mm, child_mm, state, pmd, pmd_index,
 
     parent_leaf = parent_mm.resolve(int(entry_pfn(entry)))
     kernel.san_access("pt", int(entry_pfn(entry)))
-    child_leaf = child_mm.alloc_table(LEVEL_PTE)
+    child_leaf = child_mm.alloc_table(LEVEL_PTE, copy_of=parent_leaf)
     child_leaf.copy_entries_from(parent_leaf)
 
     cow_mask = private_cow_mask(parent_mm, slot_start)
@@ -203,7 +203,7 @@ def classic_copy_slot(kernel, parent_mm, child_mm, state, pmd, pmd_index,
         # present anon pages gain a reverse mapping.
         kernel.swap_dup_entries(child_leaf.entries)
         from .rmap import rmap_add_bulk
-        rmap_add_bulk(kernel, pfns, child_leaf.pfn)
+        rmap_add_bulk(kernel, pfns)
     cost.charge_pte_table_alloc()
     cost.charge_copy_pte_entries(len(pfns))
     child_pmd.set(child_index, make_entry(child_leaf.pfn, writable=True, user=True))

@@ -29,7 +29,7 @@ from ..errors import (
     ProcessError,
 )
 from ..mem.buddy import OutOfFramesError
-from ..mem.page import HUGE_PAGE_ORDER, HUGE_PAGE_SIZE, PAGE_SIZE
+from ..mem.page import HUGE_PAGE_ORDER, HUGE_PAGE_SIZE, PAGE_SIZE, add_at
 from ..paging.store import EntryStore
 from ..paging.table import page_align_up, page_offset
 from ..paging.walk import MMUFault, Walker
@@ -156,9 +156,9 @@ class Kernel:
         if swap is not None:
             from ..mem.swap import SwapCache
             from .reclaim import ReclaimState
-            from .rmap import AnonRmap
+            from .rmap import RmapState
             self.swap_cache = SwapCache()
-            self.rmap = AnonRmap()
+            self.rmap = RmapState(pages.n_frames)
             self.reclaim = ReclaimState(self)
         else:
             self.swap_cache = None
@@ -492,14 +492,18 @@ class Kernel:
             raise KernelBug(f"swap_map underflow on slot {slot}")
         dev.swap_map[slot] = remaining
         if remaining == 0:
-            pfn = self.swap_cache.remove_slot(slot)
-            if pfn is not None:
-                # The cache's page reference goes with the slot.
-                if self.pages.ref_dec(pfn) == 0:
-                    from .rmap import free_one_anon_frame
-                    # sancheck: ignore[clock-charge] -- dropping the swap cache's last page rides the fault/zap cost models at the swap_put call sites
-                    free_one_anon_frame(self, pfn)
-            dev.release_slot(slot)
+            self._release_swap_slot(slot)
+
+    def _release_swap_slot(self, slot):
+        """A slot's last reference went: drop its cache entry, free it."""
+        pfn = self.swap_cache.remove_slot(slot)
+        if pfn is not None:
+            # The cache's page reference goes with the slot.
+            if self.pages.ref_dec(pfn) == 0:
+                from .rmap import free_one_anon_frame
+                # sancheck: ignore[clock-charge] -- dropping the swap cache's last page rides the fault/zap cost models at the swap_put call sites
+                free_one_anon_frame(self, pfn)
+        self.swap.release_slot(slot)
 
     def swap_dup_entries(self, entries):
         """swap_dup for every swap entry in a table array (fork, table COW)."""
@@ -511,18 +515,36 @@ class Kernel:
             return
         import numpy as np
         slots = entry_pfn(entries[mask]).astype(np.int64)
-        np.add.at(self.swap.swap_map, slots, 1)
+        add_at(self.swap.swap_map, slots, 1)
 
     def swap_put_entries(self, entries):
-        """swap_put for every swap entry in a table array (zap, teardown)."""
+        """swap_put for every swap entry in a table array (zap, teardown).
+
+        One vectorised decrement; the few slots that reach zero are then
+        released one by one in entry order.  A slot listed twice reaches
+        zero at its last entry, which is where a per-entry loop would
+        release it.
+        """
         if self.swap is None:
             return
         from ..paging.entries import entry_pfn, swap_mask
         mask = swap_mask(entries)
         if not mask.any():
             return
-        for slot in entry_pfn(entries[mask]).astype("int64").tolist():
-            self.swap_put(slot)
+        import numpy as np
+        slots = entry_pfn(entries[mask]).astype(np.int64)
+        swap_map = self.swap.swap_map
+        add_at(swap_map, slots, -1)
+        left = swap_map[slots]
+        if (left < 0).any():
+            raise KernelBug(
+                f"swap_map underflow on slot {int(slots[left < 0][0])}")
+        done = slots[left == 0]
+        if len(done) > 1:
+            last = len(done) - 1 - np.unique(done[::-1], return_index=True)[1]
+            done = done[np.sort(last)]
+        for slot in done.tolist():
+            self._release_swap_slot(slot)
 
     # ---- task lifecycle -----------------------------------------------------
 
@@ -992,8 +1014,7 @@ class Kernel:
                 self.pages.on_alloc(new_pfn, int(self.pages.flags[pfn]))
                 self.phys.copy_frame(pfn, new_pfn)
                 self.charge_numa_copy(pfn, 1)
-                if self.rmap is not None:
-                    rmap_remove(self, pfn, leaf.pfn)
+                rmap_remove(self, pfn)
                 self.pages.on_free(pfn)
                 self.phys.zero(pfn)
                 self.allocator.free(pfn, 0)
@@ -1001,7 +1022,7 @@ class Kernel:
                     new_pfn, writable=bool(_is_writable(entry)), user=True,
                     dirty=bool(entry & np.uint64(BIT_DIRTY)), accessed=True,
                 ))
-                rmap_add(self, new_pfn, leaf.pfn)
+                rmap_add(self, new_pfn, leaf, pte_index)
                 self.note_table_write(leaf)
                 moved += 1
         if moved:

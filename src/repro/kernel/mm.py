@@ -79,12 +79,14 @@ class MMStruct:
 
     @charge_deferred("callers charge table construction — "
                      "charge_pte_table_alloc / the upper-table models")
-    def alloc_table(self, level):
+    def alloc_table(self, level, copy_of=None):
         """Allocate a page-table node backed by a fresh frame.
 
         Leaf (PTE) tables start with the §3.5 reference count of one; the
         count tracks how many processes share the table and guards both
         premature free and the fault handler's shared/dedicated decision.
+        A leaf table about to receive a copy of ``copy_of``'s entries
+        joins that table's rmap family.
         """
         kernel = self.kernel
         pfn = kernel.alloc_table_frame()
@@ -96,6 +98,8 @@ class MMStruct:
             self.nr_pte_tables += 1
             if kernel.pt_sharers is not None:
                 kernel.pt_sharers[pfn] = [self]
+            if kernel.rmap is not None:
+                kernel.rmap.join(table, copy_of)
         elif level != LEVEL_PGD:
             self.nr_upper_tables += 1
         if kernel.mitosis is not None:
@@ -114,8 +118,11 @@ class MMStruct:
             # Replicas die with their primary — before the registry entry
             # goes, while node_of/accounting still see a live table.
             kernel.mitosis.collapse_table(table.pfn, reason="free")
-        if table.level == LEVEL_PTE and kernel.pt_sharers is not None:
-            kernel.pt_sharers.pop(table.pfn, None)
+        if table.level == LEVEL_PTE:
+            if kernel.pt_sharers is not None:
+                kernel.pt_sharers.pop(table.pfn, None)
+            if kernel.rmap is not None:
+                kernel.rmap.leave(table.pfn)
         kernel.unregister_table(table)
         kernel.pages.on_free(table.pfn)
         kernel.phys.zero(table.pfn)

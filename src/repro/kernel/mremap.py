@@ -109,8 +109,8 @@ def move_mapping(kernel, mm, vma, new_size):
             target_leaf.entries[target_index] = entry
             leaf.entries[index] = ENTRY_NONE
             if is_present(entry):
-                rmap_move(kernel, int(entry_pfn(entry)), leaf.pfn,
-                          target_leaf.pfn)
+                rmap_move(kernel, int(entry_pfn(entry)), target_leaf,
+                          target_index)
             moved += 1
         if leaf.is_empty():
             pmd_table.clear(pmd_index)

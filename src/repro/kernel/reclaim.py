@@ -222,7 +222,7 @@ class ReclaimState:
         """
         kernel = self.kernel
         pages = kernel.pages
-        n_mapped = kernel.rmap.mapcount(pfn)
+        n_mapped = int(kernel.rmap.mapcount[pfn])
         if n_mapped <= 0:
             return False
         cached_slot = kernel.swap_cache.slot_of(pfn)

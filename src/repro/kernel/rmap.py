@@ -1,16 +1,26 @@
-"""Anonymous reverse mapping (rmap).
+"""Anonymous reverse mapping (rmap): a mapcount column plus a reverse
+lookup done from the page tables at unmap time.
 
 To evict a frame, reclaim must find and clear *every* PTE that maps it.
-The kernel records, per anonymous order-0 frame, which leaf tables map
-it and how many of that table's entries do (the per-page ``mapcount``).
-Back-pointers are added at fault time, fork time (classic fork's table
-copies), table-COW time, and THP splits, and dropped wherever entries
-are zapped — the auditor recomputes the whole structure from the live
-page tables after every test.
+Only reclaim asks, so the bookkeeping fork and exit pay is kept to the
+Linux minimum (``_mapcount``; ``anon_vma`` is walked only at unmap time):
+
+* ``mapcount`` counts, per anonymous order-0 frame, the PTEs mapping it —
+  one per table *object*, so a fork-shared table counts once.  A bulk
+  call updates it in one numpy step; its 0 <-> mapped transitions drive
+  the LRU in the order the pfns were passed.
+* Every leaf table belongs to a *family*: a fresh table starts one, a
+  classic-fork or table-COW copy joins its source's.  Copies keep entry
+  positions, so a page records one *home* ``(family, index)`` when it
+  goes from 0 to mapped, and PTEs installed anywhere else (mremap moves,
+  swap-cache hits through a moved swap entry) go on a per-page overflow
+  list until the mapcount returns to 0.
+* :meth:`RmapState.mappings` reads entry ``index`` of every live member
+  of each home family; the matches must add up to ``mapcount``.
 
 The interesting case is the paper's: a victim mapped through a PTE
 table *shared* by on-demand-fork.  :func:`try_to_unmap` does not
-unshare — one back-pointer covers every sharer, and editing the shared
+unshare — one table object covers every sharer, and editing the shared
 table in place unmaps the page from all of them at once (each sharer's
 RSS shrinks and its TLB is flushed via the ``pt_sharers`` registry).
 The in-place edit is the cheap side of the unshare-or-edit decision;
@@ -27,141 +37,210 @@ from ..sancheck.annotations import charge_deferred, must_hold
 import numpy as np
 
 from ..errors import KernelBug
-from ..mem.page import PG_ANON, PG_COMPOUND_HEAD, PG_COMPOUND_TAIL, PG_FILE
+from ..mem.page import (
+    PAGE_SHIFT,
+    PG_ANON,
+    PG_COMPOUND_HEAD,
+    PG_COMPOUND_TAIL,
+    PG_FILE,
+    PTRS_PER_TABLE,
+    add_at,
+)
 from ..paging.entries import (
     BIT_ACCESSED,
-    entry_pfn,
+    BIT_PRESENT,
+    PFN_MASK,
     make_swap_entry,
-    present_mask,
 )
 
-_INELIGIBLE = np.uint16(PG_FILE | PG_COMPOUND_HEAD | PG_COMPOUND_TAIL)
-_ANON = np.uint16(PG_ANON)
+_INELIGIBLE = PG_FILE | PG_COMPOUND_HEAD | PG_COMPOUND_TAIL
+_PRESENT = int(BIT_PRESENT)
+#: Bits of a PTE that say "present, mapping this pfn".
+_MAPS = int(PFN_MASK) | _PRESENT
+_ACCESSED = int(BIT_ACCESSED)
+_NOT_ACCESSED = ~_ACCESSED
 
 
-class AnonRmap:
-    """pfn -> {leaf table pfn: number of entries mapping it}."""
+class RmapState:
+    """The mapcount and home columns, plus the leaf-table families."""
 
-    def __init__(self):
-        self._tables = {}
+    def __init__(self, n_frames):
+        #: PTEs (one per table object) mapping each anon order-0 frame.
+        self.mapcount = np.zeros(n_frames, dtype=np.int32)
+        #: ``family * 512 + index`` of each mapped frame's first mapping.
+        self.home = np.zeros(n_frames, dtype=np.int64)
+        #: pfn -> further homes, for mappings installed away from the home.
+        self.overflow = {}
+        #: leaf-table pfn -> family id
+        self.family = {}
+        #: family id -> {leaf-table pfn: PageTable} of its live members
+        self.members = {}
+        self._next_family = 0
 
-    def mapcount(self, pfn):
-        d = self._tables.get(pfn)
-        return sum(d.values()) if d else 0
+    # ---- families: leaf-table lifecycle ---------------------------------
+
+    def join(self, table, copy_of=None):
+        """Enrol a new leaf table, in ``copy_of``'s family or a new one."""
+        if copy_of is None:
+            family = self._next_family
+            self._next_family += 1
+            self.members[family] = {}
+        else:
+            family = self.family[copy_of.pfn]
+        self.family[table.pfn] = family
+        self.members[family][table.pfn] = table
+
+    def leave(self, table_pfn):
+        """A leaf table was freed."""
+        family = self.family.pop(table_pfn)
+        members = self.members[family]
+        del members[table_pfn]
+        if not members:
+            del self.members[family]
+
+    def home_of(self, table_pfn, index):
+        """The home value of entry ``index`` of a leaf table."""
+        return self.family[table_pfn] * PTRS_PER_TABLE + index
+
+    def add_home(self, pfn, home):
+        """A mapped page gained a PTE at ``home``; remember it if new."""
+        if home != self.home[pfn]:
+            extra = self.overflow.setdefault(pfn, [])
+            if home not in extra:
+                extra.append(home)
+
+    # ---- reverse lookup ---------------------------------------------------
+
+    def mappings(self, pfn):
+        """``{leaf table: [entry index, ...]}`` of every PTE mapping ``pfn``.
+
+        Raises :class:`KernelBug` unless the PTEs found at the page's
+        homes add up to its mapcount.
+        """
+        count = self.mapcount.item(pfn)
+        found = {}
+        if count == 0:
+            return found
+        want = (int(pfn) << PAGE_SHIFT) | _PRESENT
+        matched = 0
+        for home in (self.home.item(pfn), *self.overflow.get(pfn, ())):
+            family, index = divmod(home, PTRS_PER_TABLE)
+            for table in self.members.get(family, {}).values():
+                if table.entries.item(index) & _MAPS == want:
+                    found.setdefault(table, []).append(index)
+                    matched += 1
+        if matched != count:
+            raise KernelBug(f"rmap: page {pfn} has mapcount {count} but "
+                            f"{matched} PTEs at its homes")
+        return found
 
     def tables_for(self, pfn):
-        """Leaf-table pfns mapping ``pfn`` (a copy, safe to mutate under)."""
-        return list(self._tables.get(pfn, ()))
-
-    def table_refs(self, pfn, leaf_pfn):
-        d = self._tables.get(pfn)
-        return d.get(leaf_pfn, 0) if d else 0
-
-    def add(self, pfn, leaf_pfn, n=1):
-        """Record ``n`` more mappings; returns True on the 0 -> mapped edge."""
-        d = self._tables.get(pfn)
-        if d is None:
-            d = self._tables[pfn] = {}
-            first = True
-        else:
-            first = False
-        d[leaf_pfn] = d.get(leaf_pfn, 0) + n
-        return first
-
-    def remove(self, pfn, leaf_pfn, n=1):
-        """Drop ``n`` mappings; returns True on the mapped -> 0 edge."""
-        d = self._tables.get(pfn)
-        if d is None or leaf_pfn not in d:
-            raise KernelBug(f"rmap: pfn {pfn} has no entry for table {leaf_pfn}")
-        remaining = d[leaf_pfn] - n
-        if remaining < 0:
-            raise KernelBug(f"rmap underflow: pfn {pfn} table {leaf_pfn}")
-        if remaining:
-            d[leaf_pfn] = remaining
-        else:
-            del d[leaf_pfn]
-        if not d:
-            del self._tables[pfn]
-            return True
-        return False
-
-    def move(self, pfn, old_leaf_pfn, new_leaf_pfn, n=1):
-        """Retarget ``n`` mappings to another table (mremap entry moves)."""
-        self.remove(pfn, old_leaf_pfn, n)
-        self.add(pfn, new_leaf_pfn, n)
-
-    def tracked_pfns(self):
-        return self._tables.keys()
-
-    def table_items(self, pfn):
-        d = self._tables.get(pfn)
-        return list(d.items()) if d else []
+        """Pfns of the leaf tables mapping ``pfn``."""
+        return [table.pfn for table in self.mappings(pfn)]
 
 
-def _eligible_mask(pages, pfns):
+def _eligible(pages, pfn):
+    flags = int(pages.flags[pfn])
+    return bool(flags & PG_ANON) and not flags & _INELIGIBLE
+
+
+def _eligible_pfns(pages, pfns):
+    pfns = np.asarray(pfns, dtype=np.int64)
     flags = pages.flags[pfns]
-    return ((flags & _ANON) != 0) & ((flags & _INELIGIBLE) == 0)
+    mask = ((flags & PG_ANON) != 0) & ((flags & _INELIGIBLE) == 0)
+    return pfns if mask.all() else pfns[mask], mask
 
 
-def rmap_add(kernel, pfn, leaf_pfn):
-    """One new mapping of ``pfn`` from ``leaf_pfn`` (fault-time hook)."""
+def _unmapped(kernel, pfn, n):
+    """``n`` PTEs of ``pfn`` are gone; leave the LRU at the last one."""
     rmap = kernel.rmap
-    if rmap is None:
-        return
-    flags = int(kernel.pages.flags[pfn])
-    if not (flags & PG_ANON) or flags & _INELIGIBLE:
-        return
-    if rmap.add(pfn, leaf_pfn):
-        kernel.reclaim.lru_add(pfn)
-
-
-def rmap_remove(kernel, pfn, leaf_pfn):
-    """One mapping of ``pfn`` gone (COW replacement, zap of one entry)."""
-    rmap = kernel.rmap
-    if rmap is None:
-        return
-    flags = int(kernel.pages.flags[pfn])
-    if not (flags & PG_ANON) or flags & _INELIGIBLE:
-        return
-    if rmap.remove(pfn, leaf_pfn):
+    count = int(rmap.mapcount[pfn]) - n
+    if count < 0:
+        raise KernelBug(f"rmap underflow: pfn {pfn}")
+    rmap.mapcount[pfn] = count
+    if count == 0:
+        rmap.overflow.pop(pfn, None)
         kernel.reclaim.lru_remove(pfn)
 
 
-def rmap_add_bulk(kernel, pfns, leaf_pfn):
-    """Record mappings for every eligible pfn in ``pfns`` (fork, fills)."""
+def rmap_add(kernel, pfn, leaf, index):
+    """A fault or swap-in mapped ``pfn`` at ``leaf.entries[index]``."""
     rmap = kernel.rmap
-    if rmap is None or len(pfns) == 0:
+    if rmap is None or not _eligible(kernel.pages, pfn):
         return
-    pfns = np.asarray(pfns, dtype=np.int64)
-    mask = _eligible_mask(kernel.pages, pfns)
-    reclaim = kernel.reclaim
-    for pfn in pfns[mask].tolist():
-        if rmap.add(pfn, leaf_pfn):
-            reclaim.lru_add(pfn)
+    home = rmap.home_of(leaf.pfn, index)
+    count = int(rmap.mapcount[pfn]) + 1
+    rmap.mapcount[pfn] = count
+    if count == 1:
+        rmap.home[pfn] = home
+        kernel.reclaim.lru_add(pfn)
+    else:
+        rmap.add_home(pfn, home)
 
 
-def rmap_remove_bulk(kernel, pfns, leaf_pfn):
-    """Drop mappings for every eligible pfn in ``pfns`` (zap, teardown)."""
-    rmap = kernel.rmap
-    if rmap is None or len(pfns) == 0:
-        return
-    pfns = np.asarray(pfns, dtype=np.int64)
-    mask = _eligible_mask(kernel.pages, pfns)
-    reclaim = kernel.reclaim
-    for pfn in pfns[mask].tolist():
-        if rmap.remove(pfn, leaf_pfn):
-            reclaim.lru_remove(pfn)
+def rmap_remove(kernel, pfn):
+    """One mapping of ``pfn`` gone (COW replacement, migration)."""
+    if kernel.rmap is not None and _eligible(kernel.pages, pfn):
+        _unmapped(kernel, pfn, 1)
 
 
-def rmap_move(kernel, pfn, old_leaf_pfn, new_leaf_pfn):
-    """Retarget one mapping when an entry migrates between tables."""
+def rmap_add_bulk(kernel, pfns, leaf=None, indices=None):
+    """Count one new mapping of every eligible pfn in ``pfns``.
+
+    ``pfns[i]`` is mapped at ``leaf.entries[indices[i]]`` (fills, COW,
+    THP splits, snapshot restores).  Copies — classic fork and table COW
+    — pass neither: their tables joined the source's family and keep its
+    entry positions, so every copied PTE sits at an existing home.
+    """
     rmap = kernel.rmap
     if rmap is None:
         return
-    flags = int(kernel.pages.flags[pfn])
-    if not (flags & PG_ANON) or flags & _INELIGIBLE:
+    pfns, mask = _eligible_pfns(kernel.pages, pfns)
+    mapcount = rmap.mapcount
+    if leaf is None:
+        add_at(mapcount, pfns, 1)
         return
-    rmap.move(pfn, old_leaf_pfn, new_leaf_pfn)
+    homes = rmap.home_of(leaf.pfn, np.asarray(indices, dtype=np.int64)[mask])
+    fresh = np.nonzero(mapcount[pfns] == 0)[0]
+    add_at(mapcount, pfns, 1)
+    if len(fresh):
+        if (mapcount[pfns[fresh]] > 1).any():
+            # A fresh page mapped twice here: its first PTE is the home.
+            _, once = np.unique(pfns[fresh], return_index=True)
+            fresh = fresh[np.sort(once)]
+        first = pfns[fresh]
+        rmap.home[first] = homes[fresh]
+        lru_add = kernel.reclaim.lru_add
+        for pfn in first.tolist():
+            lru_add(pfn)
+    away = np.nonzero(rmap.home[pfns] != homes)[0]
+    for pfn, home in zip(pfns[away].tolist(), homes[away].tolist()):
+        rmap.add_home(pfn, home)
+
+
+def rmap_remove_bulk(kernel, pfns):
+    """Drop one mapping of every eligible pfn in ``pfns`` (zap, teardown)."""
+    rmap = kernel.rmap
+    if rmap is None:
+        return
+    pfns, _ = _eligible_pfns(kernel.pages, pfns)
+    mapcount = rmap.mapcount
+    add_at(mapcount, pfns, -1)
+    left = mapcount[pfns]
+    if (left < 0).any():
+        raise KernelBug(f"rmap underflow: pfn {int(pfns[left < 0][0])}")
+    overflow = rmap.overflow
+    lru_remove = kernel.reclaim.lru_remove
+    for pfn in pfns[left == 0].tolist():
+        overflow.pop(pfn, None)
+        lru_remove(pfn)
+
+
+def rmap_move(kernel, pfn, leaf, index):
+    """A mapping of ``pfn`` moved to ``leaf.entries[index]`` (mremap)."""
+    rmap = kernel.rmap
+    if rmap is not None and _eligible(kernel.pages, pfn):
+        rmap.add_home(pfn, rmap.home_of(leaf.pfn, index))
 
 
 @charge_deferred("the LRU aging loops charge charge_lru_scan per probe")
@@ -173,16 +252,13 @@ def test_and_clear_referenced(kernel, pfn):
     unshare decision applies here).
     """
     referenced = False
-    target = np.uint64(pfn)
-    for leaf_pfn, _count in kernel.rmap.table_items(pfn):
-        leaf = kernel.resolve_table(leaf_pfn)
+    for leaf, indices in kernel.rmap.mappings(pfn).items():
         entries = leaf.entries
-        match = present_mask(entries) & (entry_pfn(entries) == target)
-        if not match.any():
-            raise KernelBug(f"rmap points at table {leaf_pfn} with no PTE for {pfn}")
-        if (entries[match] & BIT_ACCESSED).any():
-            referenced = True
-            entries[match] &= ~BIT_ACCESSED
+        for index in indices:
+            entry = entries.item(index)
+            if entry & _ACCESSED:
+                referenced = True
+                entries[index] = entry & _NOT_ACCESSED
     return referenced
 
 
@@ -209,33 +285,27 @@ def try_to_unmap(kernel, pfn, slot):
     swap-cache entry, snapshot, or pin still holds it); the frame is
     freed here when it hits zero.
     """
-    rmap = kernel.rmap
     entry_value = make_swap_entry(slot)
-    target = np.uint64(pfn)
     total = 0
-    for leaf_pfn in rmap.tables_for(pfn):
-        leaf = kernel.resolve_table(leaf_pfn)
-        kernel.san_access("pt", leaf_pfn)
-        entries = leaf.entries
-        match = present_mask(entries) & (entry_pfn(entries) == target)
-        n = int(np.count_nonzero(match))
-        if n == 0:
-            raise KernelBug(f"rmap points at table {leaf_pfn} with no PTE for {pfn}")
-        entries[match] = entry_value
+    for leaf, indices in kernel.rmap.mappings(pfn).items():
+        kernel.san_access("pt", leaf.pfn)
+        for index in indices:
+            leaf.entries[index] = entry_value
+        n = len(indices)
         kernel.swap_dup(slot, n)
-        if kernel.pages.pt_ref(leaf_pfn) > 1:
+        if kernel.pages.pt_ref(leaf.pfn) > 1:
             # The unshare-or-edit decision: edit in place, charge for it.
             kernel.stats.shared_table_unmaps += 1
             kernel.cost.charge_shared_table_unmap()
-        sharers = list(kernel.pt_sharers.get(leaf_pfn, ()))
+        sharers = list(kernel.pt_sharers.get(leaf.pfn, ()))
         for mm in sharers:
             mm.sub_rss(n, file_backed=False)
         # Unmapping changes translations under every sharer at once, and
         # any vCPU running one of them must be interrupted too.
-        kernel.tlbs.shootdown_sharers(leaf_pfn, mms=sharers)
-        if rmap.remove(pfn, leaf_pfn, n):
-            kernel.reclaim.lru_remove(pfn)
+        kernel.tlbs.shootdown_sharers(leaf.pfn, mms=sharers)
         total += n
+    if total:
+        _unmapped(kernel, pfn, total)
     kernel.cost.charge_rmap_unmap(total)
     remaining = kernel.pages.get_ref(pfn)
     for _ in range(total):

@@ -163,7 +163,7 @@ class Snapshot:
             drop_pfns = entry_pfn(current[current_present]).astype(np.int64)
             drop_file = count_file_pages(kernel, drop_pfns)
             if len(drop_pfns):
-                rmap_remove_bulk(kernel, drop_pfns, leaf.pfn)
+                rmap_remove_bulk(kernel, drop_pfns)
                 zeroed = kernel.pages.ref_dec_bulk(drop_pfns)
                 free_anon_frames(kernel, zeroed)
             saved_slice = saved[positions]
@@ -186,7 +186,7 @@ class Snapshot:
             self.mm.add_rss((len(keep_pfns) - keep_file)
                             - (len(drop_pfns) - drop_file))
             leaf.entries[positions] = saved_slice
-            rmap_add_bulk(kernel, keep_pfns, leaf.pfn)
+            rmap_add_bulk(kernel, keep_pfns, leaf, positions[saved_present])
             restored_entries += len(positions)
             kernel.cost.charge("snapshot_restore_entries",
                                RESTORE_PER_ENTRY_NS * len(positions))

@@ -125,7 +125,7 @@ def release_table_references(kernel, mm, table, charge=True):
     from .rmap import rmap_remove_bulk
     indices, pfns = table_present_pfns(table)
     if len(pfns):
-        rmap_remove_bulk(kernel, pfns, table.pfn)
+        rmap_remove_bulk(kernel, pfns)
         zeroed = kernel.pages.ref_dec_bulk(pfns)
         free_anon_frames(kernel, zeroed)
         if charge:
@@ -175,7 +175,7 @@ def copy_shared_pte_table(kernel, mm, pmd_table, pmd_index, slot_start):
         raise KernelBug("copy_shared_pte_table on a dedicated table")
 
     kernel.failpoints.hit("tableops.table_cow")
-    new_table = mm.alloc_table(LEVEL_PTE)
+    new_table = mm.alloc_table(LEVEL_PTE, copy_of=old_table)
     new_table.copy_entries_from(old_table)
     # Mitosis: populating the fresh (auto-replicated) copy and editing
     # the original are both full-table coherence events.
@@ -199,7 +199,7 @@ def copy_shared_pte_table(kernel, mm, pmd_table, pmd_index, slot_start):
         # reference, and present anon pages gain a mapping in the copy.
         kernel.swap_dup_entries(new_table.entries)
         from .rmap import rmap_add_bulk
-        rmap_add_bulk(kernel, pfns, new_table.pfn)
+        rmap_add_bulk(kernel, pfns)
     drop_table_sharer(kernel, old_table.pfn, mm)
 
     kernel.cost.charge_table_cow_copy(len(pfns))

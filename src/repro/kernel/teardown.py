@@ -123,7 +123,7 @@ def _zap_dedicated_entries(kernel, mm, leaf, slot_start, lo, hi, account_rss=Tru
             n_file = count_file_pages(kernel, pfns)
             mm.sub_rss(n_file, file_backed=True)
             mm.sub_rss(len(pfns) - n_file, file_backed=False)
-        rmap_remove_bulk(kernel, pfns, leaf.pfn)
+        rmap_remove_bulk(kernel, pfns)
         zeroed = kernel.pages.ref_dec_bulk(pfns)
         free_anon_frames(kernel, zeroed)
         kernel.cost.charge_zap_entries(len(pfns))

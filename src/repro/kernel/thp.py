@@ -162,7 +162,7 @@ class Khugepaged:
         dirty = bool((entries & BIT_DIRTY).any())
         accessed = bool((entries & BIT_ACCESSED).any())
         # Free the old frames and the leaf table.
-        rmap_remove_bulk(kernel, pfns, leaf.pfn)
+        rmap_remove_bulk(kernel, pfns)
         kernel.pages.on_free_bulk(pfns)
         kernel.phys.zero_bulk(pfns)
         kernel.allocator.free_bulk(pfns)
@@ -217,7 +217,7 @@ def split_huge_entry(kernel, mm, pmd_table, pmd_index, slot_start):
     kernel.cost.charge_pte_table_alloc()
     from .bulkops import _entries_for
     leaf.entries[:] = _entries_for(new_pfns, writable=writable, dirty=False)
-    rmap_add_bulk(kernel, new_pfns, leaf.pfn)
+    rmap_add_bulk(kernel, new_pfns, leaf, np.arange(PTRS_PER_TABLE))
 
     if kernel.pages.ref_dec(head) == 0:
         kernel.free_huge_frame(head)

@@ -36,6 +36,27 @@ PG_DIRTY = 1 << 5
 PG_RESERVED = 1 << 6
 
 
+def has_duplicates(values):
+    """Whether any value occurs more than once in ``values``."""
+    if len(values) < 2:
+        return False
+    ordered = np.sort(values)
+    return bool((ordered[1:] == ordered[:-1]).any())
+
+
+def add_at(column, index, delta):
+    """``column[index] += delta``, counting an index listed k times k times.
+
+    Fancy-index update when the indices are unique (the overwhelmingly
+    common case: a table maps each page once); ``np.add.at`` — which is
+    duplicate-safe but an order of magnitude slower — otherwise.
+    """
+    if has_duplicates(index):
+        np.add.at(column, index, delta)
+    else:
+        column[index] += delta
+
+
 class PageStructArray:
     """Per-frame metadata: refcounts, flags, and compound-page linkage.
 
@@ -114,31 +135,13 @@ class PageStructArray:
 
     # ---- bulk (vectorised) operations used by fork and teardown ---------
 
-    @staticmethod
-    def _has_duplicates(pfns):
-        if len(pfns) < 2:
-            return False
-        ordered = np.sort(pfns)
-        return bool((ordered[1:] == ordered[:-1]).any())
-
     def ref_inc_bulk(self, pfns):
-        """Increment refcounts for an array of pfns (duplicates allowed).
-
-        Fancy-index increment when the pfns are unique (the overwhelmingly
-        common case: a table maps each page once); ``np.add.at`` — which is
-        duplicate-safe but an order of magnitude slower — otherwise.
-        """
-        if self._has_duplicates(pfns):
-            np.add.at(self.refcount, pfns, 1)
-        else:
-            self.refcount[pfns] += 1
+        """Increment refcounts for an array of pfns (duplicates allowed)."""
+        add_at(self.refcount, pfns, 1)
 
     def ref_dec_bulk(self, pfns):
         """Decrement refcounts; return the pfns whose count reached zero."""
-        if self._has_duplicates(pfns):
-            np.add.at(self.refcount, pfns, -1)
-        else:
-            self.refcount[pfns] -= 1
+        add_at(self.refcount, pfns, -1)
         counts = self.refcount[pfns]
         if np.any(counts < 0):
             bad = np.asarray(pfns)[counts < 0]

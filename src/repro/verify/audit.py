@@ -15,6 +15,7 @@ from collections import defaultdict
 
 import numpy as np
 
+from ..errors import KernelBug
 from ..mem.page import PG_ANON, PG_FILE, PG_PAGETABLE
 from ..paging import (
     entry_pfn,
@@ -201,28 +202,43 @@ def _audit_swap(kernel, seen_leaf_tables):
 
 
 def _audit_rmap_and_lru(kernel, pages, seen_leaf_tables):
-    """Recompute the anon reverse map from the paging trees, then check the
-    LRU lists track exactly the rmapped pages."""
+    """Recompute every anon page's mapcount from the paging trees, check
+    that the reverse lookup finds exactly the tables the walk does, and
+    that the LRU lists track exactly the mapped pages."""
     errors = []
-    eligible = np.uint16(PG_ANON)
-    expected = defaultdict(lambda: defaultdict(int))  # pfn -> {leaf_pfn: n}
+    rmap = kernel.rmap
+    walked = defaultdict(set)   # pfn -> leaf tables mapping it
+    mapped = [np.empty(0, dtype=np.int64)]
     for leaf in seen_leaf_tables.values():
         entries = leaf.entries
-        for pfn in entry_pfn(entries[present_mask(entries)]).tolist():
-            pfn = int(pfn)
-            if pages.flags[pfn] & eligible and not (
-                    pages.flags[pfn] & np.uint16(PG_FILE)):
-                expected[pfn][leaf.pfn] += 1
+        pfns = entry_pfn(entries[present_mask(entries)]).astype(np.int64)
+        flags = pages.flags[pfns]
+        pfns = pfns[((flags & np.uint16(PG_ANON)) != 0)
+                    & ((flags & np.uint16(PG_FILE)) == 0)]
+        mapped.append(pfns)
+        for pfn in pfns.tolist():
+            walked[pfn].add(leaf.pfn)
 
-    actual = kernel.rmap._tables
-    for pfn, tables in expected.items():
-        got = actual.get(pfn)
-        if got != dict(tables):
-            errors.append(f"rmap for page {pfn}: kernel has {got}, "
-                          f"walk found {dict(tables)}")
-    for pfn in actual:
-        if pfn not in expected:
-            errors.append(f"rmap tracks page {pfn} with no mapping: dangling")
+    expected = np.bincount(np.concatenate(mapped),
+                           minlength=len(rmap.mapcount))
+    for pfn in np.nonzero(expected != rmap.mapcount)[0][:8].tolist():
+        errors.append(f"rmap mapcount of page {pfn}: kernel has "
+                      f"{rmap.mapcount[pfn]}, walk found {expected[pfn]}")
+    for pfn, tables in walked.items():
+        try:
+            found = set(rmap.tables_for(pfn))
+        except KernelBug as exc:
+            errors.append(str(exc))
+            continue
+        if found != tables:
+            errors.append(f"rmap lookup for page {pfn}: found tables "
+                          f"{sorted(found)}, walk found {sorted(tables)}")
+    stale = [pfn for pfn in rmap.overflow if rmap.mapcount[pfn] == 0]
+    if stale:
+        errors.append(f"rmap overflow homes of unmapped pages: {stale[:8]}")
+    if set(rmap.family) != set(seen_leaf_tables):
+        errors.append("rmap families do not cover exactly the live leaf "
+                      "tables")
 
     reclaim = kernel.reclaim
     active = set(reclaim.active)
@@ -231,7 +247,7 @@ def _audit_rmap_and_lru(kernel, pages, seen_leaf_tables):
     if both:
         errors.append(f"pages on both LRU lists: {sorted(both)[:8]}")
     on_lru = active | inactive
-    tracked = set(expected)
+    tracked = set(np.nonzero(rmap.mapcount)[0].tolist())
     if on_lru != tracked:
         missing = sorted(tracked - on_lru)[:8]
         stray = sorted(on_lru - tracked)[:8]

@@ -78,6 +78,27 @@ class TestStrategies:
                          "wave1.0", "wave1.1", "wave1.2"]
         assert fleet.dlm.holder(EPOCH_LOCK) is None
 
+    @pytest.mark.parametrize("n_waves", [6, 4])
+    def test_flush_drains_sub_waves_that_overrun_their_interval(self, n_waves):
+        # Classic-fork blocks (~1.6 ms) far exceed the 0.4 ms interval, so
+        # later grants chain past any horizon fixed before the final pump.
+        config = FleetConfig(replicas=2, strategy="staggered",
+                             use_odfork=False, rate_rps=1e6, n_requests=3000,
+                             data_mb=16, wave_interval_ms=0.4,
+                             n_waves=n_waves, seed=1234)
+        fleet = Fleet(config)
+        try:
+            result = fleet.run()
+        finally:
+            fleet.shutdown()
+        stats = result.coordinator_stats
+        assert stats["waves_completed"] == n_waves
+        assert stats["subwaves_completed"] == 2 * n_waves
+        assert fleet.coordinator._pending == []
+        assert fleet.coordinator._active is None
+        assert fleet.dlm.holder(EPOCH_LOCK) is None
+        assert result.conserved()
+
     def test_drain_reroutes_and_conserves(self):
         result = run_fleet(tiny(strategy="drain", use_odfork=False,
                                 n_requests=8000))

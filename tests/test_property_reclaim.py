@@ -1,10 +1,13 @@
 """Property tests for reclaim & swap under random mmap/fork/write traffic.
 
 Random operation scripts interleave page writes, forks, reclaim passes
-(both kswapd-style and direct), partial unmaps, and child exits on a
-machine small enough that swap traffic is routine.  After every step the
-shadow copies must read back exactly and the full kernel audit — page
-refcounts, swap_map, rmap, LRU membership, sharer registry — must hold.
+(both kswapd-style and direct), partial unmaps, child mremaps, and child
+exits on a machine small enough that swap traffic is routine.  After
+every step the shadow copies must read back exactly and the full kernel
+audit — page refcounts, swap_map, rmap, LRU membership, sharer registry —
+must hold.  A child mremap moves the child's PTEs (and swap entries) into
+tables of a fresh rmap family, so pages shared with the parent end up
+with two homes for the reverse lookup to find.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ ops = st.lists(
         st.sampled_from(["write_parent", "write_child", "read_parent",
                          "read_child", "reclaim", "kswapd", "fork",
                          "odfork", "exit_child", "unmap_piece",
-                         "snapshot", "restore"]),
+                         "mremap_child", "snapshot", "restore"]),
         st.integers(0, N_PAGES - 1),
     ),
     min_size=4, max_size=24,
@@ -42,10 +45,15 @@ def test_reclaim_interleaved_with_lineages(script):
     kernel = machine.kernel
     parent = machine.spawn_process("root")
     region = parent.mmap(REGION)
+    parent.mmap(PAGE)       # a neighbour, so that growing region must move it
+    # A populated head: a child forked early shares these pages, so a
+    # child mremap leaves them with two rmap homes.
+    parent.touch_range(region, REGION // 4, write=True)
 
-    shadow_parent = {}
+    shadow_parent = {page: bytes(8) for page in range(N_PAGES // 4)}
     shadow_child = None
     child = None
+    child_region = child_size = None
     snapshot = None
     snapshot_shadow = None
     unmapped = set()
@@ -63,7 +71,7 @@ def test_reclaim_interleaved_with_lineages(script):
         elif op == "write_child" and child is not None:
             if page in unmapped:
                 continue
-            child.write(addr, payload)
+            child.write(child_region + page * PAGE, payload)
             shadow_child[page] = payload
         elif op == "read_parent" and page not in unmapped:
             expected = shadow_parent.get(page)
@@ -72,7 +80,7 @@ def test_reclaim_interleaved_with_lineages(script):
         elif op == "read_child" and child is not None and page not in unmapped:
             expected = shadow_child.get(page)
             if expected is not None:
-                assert child.read(addr, 8) == expected
+                assert child.read(child_region + page * PAGE, 8) == expected
         elif op == "reclaim":
             kernel.reclaim.shrink(max(8, page), from_kswapd=False)
         elif op == "kswapd":
@@ -80,11 +88,17 @@ def test_reclaim_interleaved_with_lineages(script):
         elif op in ("fork", "odfork") and child is None:
             child = parent.odfork() if op == "odfork" else parent.fork()
             shadow_child = dict(shadow_parent)
+            child_region, child_size = region, REGION
         elif op == "exit_child" and child is not None:
             child.exit()
             parent.wait()
             child = None
             shadow_child = None
+        elif op == "mremap_child" and child is not None and not unmapped:
+            # Grow by a page: the first grow has to move the mapping.
+            child_region = child.mremap(child_region, child_size,
+                                        child_size + PAGE)
+            child_size += PAGE
         elif op == "unmap_piece" and child is None and page not in unmapped:
             parent.munmap(addr, PAGE)
             unmapped.add(page)
@@ -105,7 +119,7 @@ def test_reclaim_interleaved_with_lineages(script):
         assert parent.read(region + page * PAGE, 8) == expected
     if child is not None:
         for page, expected in shadow_child.items():
-            assert child.read(region + page * PAGE, 8) == expected
+            assert child.read(child_region + page * PAGE, 8) == expected
         child.exit()
         parent.wait()
     if snapshot is not None:

@@ -4,8 +4,10 @@ import pytest
 
 from repro.verify.audit import audit_machine
 from repro import MADV_DONTNEED, MIB, Machine, OutOfMemoryError
-from repro.mem.page import PAGE_SIZE
+from repro.errors import KernelBug
+from repro.mem.page import PAGE_SIZE, PG_ANON
 from repro.paging import (
+    entry_pfn,
     is_present,
     is_swap_entry,
     make_swap_entry,
@@ -256,6 +258,44 @@ class TestSlotLifecycle:
         assert machine.kernel.swap.used_slots == 0
         audit_machine(machine)
 
+    @staticmethod
+    def _slots_with_cache():
+        """Five live slots; slots 0 and 3 have swap-cache frames."""
+        machine = swap_machine(phys_mb=16, swap_mb=16)
+        kernel = machine.kernel
+        slots = [kernel.swap.alloc_slot() for _ in range(5)]
+        for slot, refs in zip(slots, (2, 3, 1, 1, 2)):
+            kernel.swap_dup(slot, refs)
+        for slot in (slots[0], slots[3]):
+            pfn = int(machine.allocator.alloc(0))
+            kernel.pages.on_alloc(pfn, PG_ANON)
+            kernel.swap_cache.add(slot, pfn)
+        return machine, slots
+
+    def test_swap_put_entries_matches_the_per_entry_loop(self):
+        # Slot 0 is listed twice and dies at its second entry, slot 1 is
+        # listed twice and survives, slots 2 and 3 die, slot 4 survives.
+        order = (0, 1, 3, 0, 2, 1, 4)
+        vector, slots = self._slots_with_cache()
+        vector.kernel.swap_put_entries(np.array(
+            [make_swap_entry(slots[i]) for i in order], dtype=np.uint64))
+        loop, slots = self._slots_with_cache()
+        for i in order:
+            loop.kernel.swap_put(slots[i])
+        assert vector.kernel.swap.swap_map.tolist() == \
+            loop.kernel.swap.swap_map.tolist()
+        assert vector.kernel.swap._free == loop.kernel.swap._free
+        assert dict(vector.kernel.swap_cache.items()) == \
+            dict(loop.kernel.swap_cache.items())
+        assert vector.allocator._free_lists == loop.allocator._free_lists
+        assert vector.pages.refcount.tolist() == loop.pages.refcount.tolist()
+
+    def test_swap_put_entries_underflow_is_a_kernel_bug(self):
+        machine, slots = self._slots_with_cache()
+        entries = np.array([make_swap_entry(slots[2])] * 2, dtype=np.uint64)
+        with pytest.raises(KernelBug, match="swap_map underflow"):
+            machine.kernel.swap_put_entries(entries)
+
     def test_zero_page_needs_no_swap_storage(self):
         # Never-written pages store nothing on the device: eviction of a
         # zero page records the slot but keeps no bytes.
@@ -296,3 +336,93 @@ class TestReclaimCostModel:
         p.touch_range(addr, 16 * MIB, write=True)
         assert machine.now_ns > before
         assert machine.stats.pswpout > 0
+
+
+def _pte(process, vaddr):
+    """``(leaf table, entry)`` mapping ``vaddr`` in ``process``."""
+    from repro.paging.table import LEVEL_PTE, table_index
+    leaf = process.mm.get_pte_table(vaddr)
+    return leaf, leaf.entries[table_index(vaddr, LEVEL_PTE)]
+
+
+class TestRmapHomes:
+    """Pages mapped away from their rmap home.
+
+    A classic-fork child's tables join the parent's table families, so a
+    shared page's two PTEs sit at one home.  An mremap in the child moves
+    its PTE into a table of a fresh family: the page then has two homes,
+    and the reverse lookup must still find (and unmap) both PTEs.
+    """
+
+    def _forked_then_moved(self):
+        machine = swap_machine(phys_mb=64, swap_mb=64)
+        parent = machine.spawn_process("parent")
+        addr = parent.mmap(1 * MIB)
+        parent.mmap(PAGE_SIZE)        # a neighbour: growing addr must move
+        parent.write(addr, b"original")
+        child = parent.fork()
+        moved = child.mremap(addr, 1 * MIB, 1 * MIB + PAGE_SIZE)
+        assert moved != addr
+        return machine, parent, child, addr, moved
+
+    def test_eviction_unmaps_a_page_at_two_homes(self):
+        machine, parent, child, addr, moved = self._forked_then_moved()
+        rmap = machine.kernel.rmap
+        parent_leaf, parent_pte = _pte(parent, addr)
+        child_leaf, child_pte = _pte(child, moved)
+        pfn = int(entry_pfn(parent_pte))
+        assert int(entry_pfn(child_pte)) == pfn
+        assert rmap.family[parent_leaf.pfn] != rmap.family[child_leaf.pfn]
+        assert rmap.mapcount[pfn] == 2
+        assert len(rmap.overflow[pfn]) == 1
+        assert sorted(rmap.tables_for(pfn)) == sorted(
+            [parent_leaf.pfn, child_leaf.pfn])
+        audit_machine(machine)
+
+        rss = (parent.mm.rss_anon_pages, child.mm.rss_anon_pages)
+        assert machine.kernel.reclaim.shrink(1, from_kswapd=False) == 1
+        _, parent_pte = _pte(parent, addr)
+        _, child_pte = _pte(child, moved)
+        assert is_swap_entry(parent_pte)
+        assert parent_pte == child_pte
+        slot = int(swap_entry_slot(parent_pte))
+        assert machine.kernel.swap.swap_map[slot] == 2
+        assert (parent.mm.rss_anon_pages, child.mm.rss_anon_pages) == \
+            (rss[0] - 1, rss[1] - 1)
+        assert rmap.mapcount[pfn] == 0
+        assert pfn not in rmap.overflow
+        audit_machine(machine)
+
+    def test_swap_cache_hit_through_a_moved_swap_entry(self):
+        # Evict first, then move: the child's swap entry is what moves.
+        machine = swap_machine(phys_mb=64, swap_mb=64)
+        parent = machine.spawn_process("parent")
+        addr = parent.mmap(1 * MIB)
+        parent.mmap(PAGE_SIZE)
+        parent.write(addr, b"original")
+        child = parent.fork()
+        assert machine.kernel.reclaim.shrink(1, from_kswapd=False) == 1
+        moved = child.mremap(addr, 1 * MIB, 1 * MIB + PAGE_SIZE)
+        assert is_swap_entry(_pte(child, moved)[1])
+        audit_machine(machine)
+
+        assert parent.read(addr, 8) == b"original"      # swap-in at home
+        hits = machine.stats.swap_cache_hits
+        assert child.read(moved, 8) == b"original"      # cache hit, away
+        assert machine.stats.swap_cache_hits == hits + 1
+        assert machine.stats.pswpin == 1
+        rmap = machine.kernel.rmap
+        pfn = int(entry_pfn(_pte(parent, addr)[1]))
+        assert int(entry_pfn(_pte(child, moved)[1])) == pfn
+        assert rmap.mapcount[pfn] == 2
+        assert len(rmap.overflow[pfn]) == 1
+        audit_machine(machine)
+
+        assert machine.kernel.reclaim.shrink(1, from_kswapd=False) == 1
+        parent_pte = _pte(parent, addr)[1]
+        assert is_swap_entry(parent_pte)
+        assert parent_pte == _pte(child, moved)[1]
+        audit_machine(machine)
+        assert child.read(moved, 8) == b"original"
+        assert parent.read(addr, 8) == b"original"
+        audit_machine(machine)
