@@ -29,8 +29,8 @@ state, and buddy free lists.  The rules that make that hold:
   per-slot ``free_bulk`` grouping — buddy coalescing is batch-local, so
   the grouping *is* allocator state.
 * **Bail-before-mutate**: every fallback condition (store-less table,
-  duplicate pfns across batched slots, live swap entries whose release
-  could free frames mid-walk) is detected by read-only analysis before
+  duplicate pfns across batched slots, a released swap slot whose cached
+  frame the batch also unmaps) is detected by read-only analysis before
   the first mutation, so a ``False`` return always means "run the
   per-event path on untouched state".
 """
@@ -115,8 +115,11 @@ FASTPATH_HANDLED = {
             "their parents' families via alloc_table(copy_of=) as in "
             "classic_copy_slot; exit drops the same mapcounts with one "
             "rmap_remove_bulk per table batch, in the per-event pfn order",
-    "swap": "fork duplicates swap entries via swap_dup_entries; exit bails "
-            "to the per-event walk when any live swap entry is present",
+    "swap": "fork duplicates swap entries via swap_dup_entries; exit "
+            "releases each dead table's swap entries with swap_put_entries "
+            "after that table's free_bulk and before its frame is freed, the "
+            "per-event order, and bails only when a slot the batch releases "
+            "caches a frame the batch also unmaps",
     "reclaim": "_fork_headroom_ok proves the copy finishes above wm_low, so "
                "neither kswapd nor direct reclaim can engage; exit only "
                "frees frames",
@@ -170,6 +173,18 @@ def _cow_mask_for_table(mm, table_base):
         hi = min(vma.end, table_end)
         mask[(lo - table_base) // PAGE_SIZE:(hi - table_base) // PAGE_SIZE] = True
     return mask.reshape(PTRS_PER_TABLE, PTRS_PER_TABLE)
+
+
+def _write_protect(matrix, cow, all_cow):
+    """Drop RW from the ``cow`` entries of ``matrix``, in place.
+
+    The common whole-table case is one ``&=``; a boolean-mask update
+    would read, mask, and write back every entry.
+    """
+    if all_cow:
+        matrix &= _DROP_RW
+    else:
+        matrix[cow] &= _DROP_RW
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +265,8 @@ def fast_copy_mm_classic(kernel, parent_mm, child_mm):
 
             matrix = store.gather(parent_rows)
             cow = _cow_mask_for_table(parent_mm, base)[leaf_pos]
-            matrix[cow] &= _DROP_RW
+            all_cow = cow.all()
+            _write_protect(matrix, cow, all_cow)
             # Dedicated parent tables get the same write-protect; shared
             # ones are left alone — their PMD entry already carries RW=0
             # and the table-COW protocol owns their entry bits.
@@ -258,7 +274,7 @@ def fast_copy_mm_classic(kernel, parent_mm, child_mm):
             if dedicated.any() and cow.any():
                 ded_rows = parent_rows[dedicated]
                 pmat = store.gather(ded_rows)
-                pmat[cow[dedicated]] &= _DROP_RW
+                _write_protect(pmat, cow[dedicated], all_cow)
                 store.scatter(ded_rows, pmat)
             store.scatter(child_rows, matrix)
 
@@ -345,6 +361,22 @@ def fast_copy_mm_classic(kernel, parent_mm, child_mm):
 # exit teardown
 # ---------------------------------------------------------------------------
 
+def _slot_release_frees_unmapped(kernel, swap_entries, all_pfns):
+    """Whether a slot whose last reference the batch drops caches a frame
+    the batch also unmaps.
+
+    The batch drops every page reference up front, before the first slot
+    goes, so such a frame could reach zero at its slot's release instead
+    of in its table's ``free_bulk``: a reordered allocator call.
+    """
+    slots, refs = np.unique(entry_pfn(swap_entries).astype(np.int64),
+                            return_counts=True)
+    released = slots[kernel.swap.swap_map[slots] == refs]
+    pfn_of = kernel.swap_cache.pfn_of
+    cached = [pfn for pfn in map(pfn_of, released.tolist()) if pfn is not None]
+    return bool(cached) and bool(np.isin(cached, all_pfns).any())
+
+
 @must_hold("mmap_lock", "ptl")
 @tlb_deferred("exit_mmap shoots the dying mm down once after the walk")
 def fast_exit_release_pmd_table(kernel, mm, pmd_table, table_base):
@@ -366,14 +398,15 @@ def fast_exit_release_pmd_table(kernel, mm, pmd_table, table_base):
     # ---- read-only analysis (a bail-out must mutate nothing) ------------
     dead_tables = []
     surviving = None
-    leaf_pfns = dead_pfns = all_pfns = counts = matrix = None
+    leaf_pfns = dead_pfns = all_pfns = counts = matrix = has_swap = None
     if len(leaf_positions):
         leaf_pfns = entry_pfn(entries[leaf_positions]).astype(np.int64)
         refs = pages.pt_refcount[leaf_pfns]
         surviving = refs > 1
         dead_pfns = leaf_pfns[~surviving]
-        rows = np.empty(len(dead_pfns), dtype=np.int64)
-        for i, tpfn in enumerate(dead_pfns.tolist()):
+        dead = dead_pfns.tolist()
+        rows = np.empty(len(dead), dtype=np.int64)
+        for i, tpfn in enumerate(dead):
             table = kernel.resolve_table(tpfn)
             if table.row < 0:
                 return False  # store-less table (unit-test construction)
@@ -387,11 +420,12 @@ def fast_exit_release_pmd_table(kernel, mm, pmd_table, table_base):
             # A duplicate pfn across slots changes which slot's free_bulk
             # batch releases the page; keep the per-event grouping.
             return False
-        if kernel.swap is not None and swap_mask(matrix).any():
-            # Releasing a swap slot can free its cached frame — an
-            # allocator call interleaved per slot that batching would
-            # reorder.  Rare on the exit path; per-event handles it.
-            return False
+        if kernel.swap is not None:
+            swapped = swap_mask(matrix)
+            has_swap = swapped.any(axis=1)
+            if has_swap.any() and _slot_release_frees_unmapped(
+                    kernel, matrix[swapped], all_pfns):
+                return False
     heads = entry_pfn(entries[huge_positions]).astype(np.int64)
     if has_duplicates(heads):
         return False
@@ -422,8 +456,10 @@ def fast_exit_release_pmd_table(kernel, mm, pmd_table, table_base):
         # bulk free below resets.
         rmap_remove_bulk(kernel, all_pfns)
         if len(all_pfns):
-            pages.refcount[all_pfns] -= 1
-            newrefs = pages.refcount[all_pfns]
+            # all_pfns is duplicate-free (the has_duplicates bail), so one
+            # gather and one scatter decrement every page exactly once.
+            newrefs = pages.refcount[all_pfns] - 1
+            pages.refcount[all_pfns] = newrefs
             if np.any(newrefs < 0):
                 bad = all_pfns[newrefs < 0]
                 raise KernelBug(
@@ -438,25 +474,35 @@ def fast_exit_release_pmd_table(kernel, mm, pmd_table, table_base):
         else:
             zeroed_mask = np.empty(0, dtype=bool)
             zeroed = all_pfns
+        # Only buddy calls stay in the per-table loop: buddy coalescing is
+        # call-local, so their order is allocator state.  Each table's
+        # pages go first, then its swap slots (a slot's last reference
+        # frees its swap-cache frame), then the table frame, as in the
+        # per-event walk.
         allocator = kernel.allocator
-        pt_sharers = kernel.pt_sharers
-        rmap = kernel.rmap
-        for i, table in enumerate(dead_tables):
-            seg = slice(offsets[i], offsets[i + 1])
-            slot_zeroed = all_pfns[seg][zeroed_mask[seg]]
-            if len(slot_zeroed):
+        # zeroed[zeroed_at[i]:zeroed_at[i + 1]] are table i's freed pages.
+        zeroed_at = np.searchsorted(np.flatnonzero(zeroed_mask),
+                                    offsets).tolist()
+        swapped_rows = [] if has_swap is None else has_swap.tolist()
+        for i, table_pfn in enumerate(dead):
+            lo, hi = zeroed_at[i], zeroed_at[i + 1]
+            if hi > lo:
                 # ref_dec_bulk hands free_anon_frames a sorted unique
-                # array; free_bulk re-sorts internally and slot_zeroed is
+                # array; free_bulk re-sorts internally and the slice is
                 # duplicate-free (the has_duplicates bail), so passing it
                 # unsorted reaches the identical allocator state.
-                allocator.free_bulk(slot_zeroed)
-            if pt_sharers is not None:
-                drop_table_sharer(kernel, table.pfn, mm)
-                pt_sharers.pop(table.pfn, None)
-            if rmap is not None:
-                rmap.leave(table.pfn)
-            kernel.unregister_table(table)  # re-zeroes the packed row
-            allocator.free(table.pfn, 0)
+                allocator.free_bulk(zeroed[lo:hi])
+            if swapped_rows and swapped_rows[i]:
+                kernel.swap_put_entries(matrix[i])
+            allocator.free(table_pfn, 0)
+        pt_sharers = kernel.pt_sharers
+        if pt_sharers is not None:
+            for table_pfn in dead:
+                drop_table_sharer(kernel, table_pfn, mm)
+                del pt_sharers[table_pfn]
+        if kernel.rmap is not None:
+            kernel.rmap.leave(dead)
+        kernel.unregister_table(dead_tables)  # re-zeroes the packed rows
         kernel.phys.zero_bulk(np.concatenate([zeroed, dead_pfns]))
         pages.on_free_bulk(dead_pfns)
         entries[leaf_positions[~surviving]] = ENTRY_NONE

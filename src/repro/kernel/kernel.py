@@ -209,11 +209,18 @@ class Kernel:
             raise KernelBug(f"table frame {table.pfn} registered twice")
         self._tables[table.pfn] = table
 
-    def unregister_table(self, table):
-        """Drop a table frame from the pfn -> table map."""
-        if self._tables.pop(table.pfn, None) is None:
-            raise KernelBug(f"table frame {table.pfn} not registered")
-        table.release_row()
+    def unregister_table(self, tables):
+        """Drop table frames from the pfn -> table map and hand their
+        packed rows back to the entry store in one batch."""
+        registry = self._tables
+        rows = []
+        for table in tables:
+            if registry.pop(table.pfn, None) is None:
+                raise KernelBug(f"table frame {table.pfn} not registered")
+            row = table.detach_row()
+            if row >= 0:
+                rows.append(row)
+        self.entry_store.release(rows)
 
     def resolve_table(self, pfn):
         """The PageTable object backing a table frame."""

@@ -122,8 +122,8 @@ class MMStruct:
             if kernel.pt_sharers is not None:
                 kernel.pt_sharers.pop(table.pfn, None)
             if kernel.rmap is not None:
-                kernel.rmap.leave(table.pfn)
-        kernel.unregister_table(table)
+                kernel.rmap.leave([table.pfn])
+        kernel.unregister_table([table])
         kernel.pages.on_free(table.pfn)
         kernel.phys.zero(table.pfn)
         kernel.allocator.free(table.pfn, 0)

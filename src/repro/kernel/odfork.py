@@ -35,13 +35,14 @@ import numpy as np
 
 from ..mem.page import HUGE_PAGE_ORDER
 from ..paging.entries import BIT_PS, BIT_RW, entry_pfn, is_huge, present_mask
+from .fastpath import _fork_headroom_ok, fast_path_ok
 from .fork import (
     ChildTreeBuilder,
     _slot_needs_cow,
     clone_vmas,
     iter_parent_pmd_tables,
 )
-from ..paging.table import LEVEL_PMD, LEVEL_SPAN
+from ..paging.table import LEVEL_PGD, LEVEL_PMD, LEVEL_SPAN
 from .tableops import add_table_sharer, count_file_pages, table_present_pfns
 from ..sancheck.annotations import acquires, must_hold, tlb_deferred
 from ..trace import points
@@ -82,9 +83,10 @@ def _apply_replica_share_policy(kernel, child_mm, leaf_pfns):
 def _account_shared_table_rss(kernel, mm, child_mm, leaf_pfn):
     """Sharing a leaf table makes its present pages resident in the child.
 
-    Accounted per table (not snapshot-copied at the end) so a concurrent
-    reclaim that edits an already-shared table mid-odfork finds the
-    child's RSS consistent with its mappings.
+    Accounted per table, not copied from the parent at the end (that
+    needs :func:`_child_rss_is_parents`), so a concurrent reclaim that
+    edits an already-shared table mid-odfork finds the child's RSS
+    consistent with its mappings.
     """
     leaf = mm.resolve(leaf_pfn)
     _, pfns = table_present_pfns(leaf)
@@ -116,11 +118,34 @@ def _account_shared_tables_rss_bulk(kernel, mm, child_mm, leaf_pfns):
         child_mm.add_rss(len(data_pfns) - n_file, file_backed=False)
 
 
+def _child_rss_is_parents(kernel, parent_mm):
+    """Whether the child's RSS may be copied from the parent's at the end.
+
+    Only reclaim can take a page out of a table mid-copy, and only an
+    allocation can start reclaim.  The copy allocates just the child's
+    PUD and PMD tables, so when the headroom rule proves those cannot
+    wake kswapd or enter reclaim, the child ends up mapping exactly what
+    the parent maps and its RSS equals the parent's.  Otherwise (and on
+    the per-event reference path) each shared table is counted as it is
+    shared.
+    """
+    if not fast_path_ok(kernel):
+        return False
+    n_pmd = 0
+    pud_keys = set()
+    for pmd, base in iter_parent_pmd_tables(parent_mm):
+        if present_mask(pmd.entries).any():
+            n_pmd += 1
+            pud_keys.add(base // LEVEL_SPAN[LEVEL_PGD])
+    return _fork_headroom_ok(kernel, n_pmd + len(pud_keys))
+
+
 @must_hold("mmap_lock")
 @acquires("ptl")
 def copy_mm_odf(kernel, parent_mm, child_mm, share_huge=False):
     """Share ``parent_mm``'s leaf tables into ``child_mm`` (§3.1, §3.5)."""
     cost = kernel.cost
+    copy_rss = _child_rss_is_parents(kernel, parent_mm)
     builder = begin_odf_copy(kernel, parent_mm, child_mm)
     drop_rw = np.uint64(~BIT_RW)
     shared_tables = 0
@@ -142,7 +167,9 @@ def copy_mm_odf(kernel, parent_mm, child_mm, share_huge=False):
             kernel.pages.pt_refcount[pfns] += 1
             for leaf_pfn in pfns.tolist():
                 kernel.pt_sharers[leaf_pfn].append(child_mm)
-            _account_shared_tables_rss_bulk(kernel, parent_mm, child_mm, pfns)
+            if not copy_rss:
+                _account_shared_tables_rss_bulk(kernel, parent_mm, child_mm,
+                                                pfns)
             if kernel.mitosis is not None:
                 _apply_replica_share_policy(kernel, child_mm, pfns.tolist())
             protected = entries[leaf_positions] & drop_rw
@@ -171,7 +198,8 @@ def copy_mm_odf(kernel, parent_mm, child_mm, share_huge=False):
                 entry &= drop_rw
                 entries[pmd_index] = entry
             child_pmd.entries[pmd_index] = entry
-            child_mm.add_rss(1 << HUGE_PAGE_ORDER, file_backed=False)
+            if not copy_rss:
+                child_mm.add_rss(1 << HUGE_PAGE_ORDER, file_backed=False)
             if share_huge:
                 # §4 generalisation: one permission-drop per 2 MiB entry,
                 # charged like a table share instead of the eager copy.
@@ -179,6 +207,9 @@ def copy_mm_odf(kernel, parent_mm, child_mm, share_huge=False):
             else:
                 cost.charge_copy_huge_entries(1)
 
+    if copy_rss:
+        child_mm.add_rss(parent_mm.rss_file_pages, file_backed=True)
+        child_mm.add_rss(parent_mm.rss_anon_pages, file_backed=False)
     cost.charge_share_tables(shared_tables)
     finish_odf_copy(kernel, parent_mm, child_mm, builder, shared_tables)
     return shared_tables

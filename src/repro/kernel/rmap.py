@@ -90,13 +90,14 @@ class RmapState:
         self.family[table.pfn] = family
         self.members[family][table.pfn] = table
 
-    def leave(self, table_pfn):
-        """A leaf table was freed."""
-        family = self.family.pop(table_pfn)
-        members = self.members[family]
-        del members[table_pfn]
-        if not members:
-            del self.members[family]
+    def leave(self, table_pfns):
+        """Leaf tables were freed."""
+        for table_pfn in table_pfns:
+            family = self.family.pop(table_pfn)
+            members = self.members[family]
+            del members[table_pfn]
+            if not members:
+                del self.members[family]
 
     def home_of(self, table_pfn, index):
         """The home value of entry ``index`` of a leaf table."""

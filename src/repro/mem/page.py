@@ -35,11 +35,33 @@ PG_COMPOUND_TAIL = 1 << 4
 PG_DIRTY = 1 << 5
 PG_RESERVED = 1 << 6
 
+#: :func:`has_duplicates` orders a batch's ascending runs only when they
+#: average at least this many values; shorter runs go straight to the
+#: sort, which then costs about as much.
+_MIN_RUN = 64
+
 
 def has_duplicates(values):
-    """Whether any value occurs more than once in ``values``."""
+    """Whether any value occurs more than once in ``values``.
+
+    Page-table batches are nearly always a few strictly ascending runs
+    (a table maps each page once, and fills hand out frames in pfn order,
+    one buddy block after another).  Runs whose ``[first, last]`` ranges
+    do not overlap hold no value twice, which proves uniqueness in one
+    linear pass; only a batch that fails that test pays for a sort.
+    """
     if len(values) < 2:
         return False
+    values = np.asarray(values)
+    ends = np.flatnonzero(values[1:] <= values[:-1])
+    if len(ends) == 0:
+        return False
+    if len(ends) * _MIN_RUN < len(values):
+        firsts = values[np.concatenate(([0], ends + 1))]
+        lasts = values[np.append(ends, len(values) - 1)]
+        order = np.argsort(firsts)
+        if (firsts[order[1:]] > lasts[order[:-1]]).all():
+            return False
     ordered = np.sort(values)
     return bool((ordered[1:] == ordered[:-1]).any())
 

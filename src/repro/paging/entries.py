@@ -28,6 +28,7 @@ BIT_PS = np.uint64(1 << 7)  # page size: set in a PMD entry mapping 2 MiB
 # Software bit (x86 leaves 9..11 to the OS): a non-present entry whose
 # SWAP bit is set encodes a swap entry rather than "nothing mapped".
 BIT_SWAP = np.uint64(1 << 9)
+_SWAP_OR_PRESENT = BIT_SWAP | BIT_PRESENT
 
 PFN_SHIFT = np.uint64(PAGE_SHIFT)
 PFN_MASK = np.uint64(((1 << 40) - 1) << PAGE_SHIFT)
@@ -133,8 +134,12 @@ def present_mask(entries):
 
 
 def swap_mask(entries):
-    """Boolean mask of swap entries in a table array."""
-    return ((entries & BIT_PRESENT) == 0) & ((entries & BIT_SWAP) != 0)
+    """Boolean mask of swap entries in a table array.
+
+    One masked compare (SWAP set, PRESENT clear) keeps the temporaries of
+    a many-table matrix to one.
+    """
+    return (entries & _SWAP_OR_PRESENT) == BIT_SWAP
 
 
 def writable_mask(entries):

@@ -59,11 +59,11 @@ class EntryStore:
         self._next_fresh += 1
         return row
 
-    def release(self, row):
-        """Re-zero a row and make it available for reuse."""
-        view = self.row_view(row)
-        view.fill(0)
-        self._free.append(row)
+    def release(self, rows):
+        """Re-zero rows and make them available for reuse, in order."""
+        for row in rows:
+            self.row_view(row).fill(0)
+        self._free.extend(rows)
 
     def row_view(self, row):
         """The live ``uint64[512]`` view of one row (never moves)."""

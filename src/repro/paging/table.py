@@ -83,6 +83,11 @@ def page_align_up(vaddr):
     return (vaddr + PAGE_SIZE - 1) & ~(PAGE_SIZE - 1)
 
 
+#: The entries of every freed table (see :meth:`PageTable.detach_row`).
+_DEAD_ENTRIES = np.zeros(PTRS_PER_TABLE, dtype=np.uint64)
+_DEAD_ENTRIES.flags.writeable = False
+
+
 class PageTable:
     """One 512-entry paging-structure node backed by a physical frame.
 
@@ -108,17 +113,21 @@ class PageTable:
             self.row = store.acquire()
             self.entries = store.row_view(self.row)
 
-    def release_row(self):
-        """Return this table's packed row to its store (table freed).
+    def detach_row(self):
+        """Detach this table from its packed row (table freed).
 
-        The entries rebind to a private zero array so any stale reference
-        to the dead table can never scribble on a recycled row.
+        Returns the row id for the caller to hand back to the store with
+        :meth:`~repro.paging.store.EntryStore.release` (-1 for a
+        store-less table).  The entries rebind to a read-only zero array,
+        so a stale write through the dead table raises instead of
+        scribbling on a recycled row.
         """
+        row = self.row
         if self.store is not None:
-            self.store.release(self.row)
             self.store = None
             self.row = -1
-            self.entries = np.zeros(PTRS_PER_TABLE, dtype=np.uint64)
+            self.entries = _DEAD_ENTRIES
+        return row
 
     def get(self, index):
         """Read the entry at ``index``."""

@@ -1,9 +1,10 @@
 """Exhaustive kernel-state cross-checks (tests, benchmarks, the fuzzer).
 
-``audit_machine`` recomputes every reference count from first principles —
-walking each live address space's paging tree and the page cache — and
-compares against the kernel's incremental accounting.  Any drift (the bug
-class that makes real kernels corrupt memory) fails loudly.
+``audit_machine`` recomputes every reference count and RSS counter from
+first principles — walking each live address space's paging tree and the
+page cache — and compares against the kernel's incremental accounting.
+Any drift (the bug class that makes real kernels corrupt memory) fails
+loudly.
 
 Lives in ``repro.verify`` so the trace oracle, the benchmarks, and the
 test suite share one auditor; ``tests/auditor.py`` is a re-export shim.
@@ -16,7 +17,7 @@ from collections import defaultdict
 import numpy as np
 
 from ..errors import KernelBug
-from ..mem.page import PG_ANON, PG_FILE, PG_PAGETABLE
+from ..mem.page import HUGE_PAGE_ORDER, PG_ANON, PG_FILE, PG_PAGETABLE
 from ..paging import (
     entry_pfn,
     is_huge,
@@ -44,7 +45,10 @@ def audit_machine(machine):
         if not t.mm.dead and id(t.mm) not in seen_mm_ids:
             seen_mm_ids.add(id(t.mm))
             live_mms.append(t.mm)
+    rss_errors = []
     for mm in live_mms:
+        n_huge = 0
+        leaves = []
         for pud_index in mm.pgd.present_indices().tolist():
             pud = mm.resolve(mm.pgd.child_pfn(pud_index))
             for pmd_index in pud.present_indices().tolist():
@@ -54,10 +58,14 @@ def audit_machine(machine):
                     entry = entries[slot]
                     if is_huge(entry):
                         expected_page_refs[int(entry_pfn(entry))] += 1
+                        n_huge += 1
                         continue
                     leaf_pfn = int(entry_pfn(entry))
                     expected_pt_refs[leaf_pfn] += 1
-                    seen_leaf_tables[leaf_pfn] = mm.resolve(leaf_pfn)
+                    leaf = mm.resolve(leaf_pfn)
+                    seen_leaf_tables[leaf_pfn] = leaf
+                    leaves.append(leaf)
+        rss_errors += _audit_rss(pages, mm, leaves, n_huge)
 
     # Each leaf table *object* owns one reference per present data page.
     for leaf in seen_leaf_tables.values():
@@ -79,7 +87,7 @@ def audit_machine(machine):
         for _slot, pfn in kernel.swap_cache.items():
             expected_page_refs[pfn] += 1
 
-    errors = []
+    errors = rss_errors
     for leaf_pfn, count in expected_pt_refs.items():
         actual = pages.pt_ref(leaf_pfn)
         if actual != count:
@@ -145,6 +153,25 @@ def audit_machine(machine):
     machine.allocator.check_consistency()
     if errors:
         raise AssertionError("kernel audit failed:\n  " + "\n  ".join(errors[:12]))
+
+
+def _audit_rss(pages, mm, leaves, n_huge):
+    """An mm's RSS counters must equal what its tables map: 512 anon pages
+    per huge entry, and one page per present leaf entry, file-backed when
+    the page is ``PG_FILE``."""
+    anon = n_huge << HUGE_PAGE_ORDER
+    file = 0
+    for leaf in leaves:
+        entries = leaf.entries
+        pfns = entry_pfn(entries[present_mask(entries)]).astype(np.int64)
+        n_file = int(np.count_nonzero(pages.flags[pfns] & PG_FILE))
+        file += n_file
+        anon += len(pfns) - n_file
+    if (mm.rss_anon_pages, mm.rss_file_pages) == (anon, file):
+        return []
+    return [f"mm of pid {mm.owner_pid}: RSS anon/file "
+            f"{mm.rss_anon_pages}/{mm.rss_file_pages}, walk found "
+            f"{anon}/{file}"]
 
 
 def _audit_swap(kernel, seen_leaf_tables):

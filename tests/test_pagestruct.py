@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.errors import KernelBug
 from repro.mem import (
     HUGE_PAGE_ORDER,
@@ -13,6 +16,7 @@ from repro.mem import (
     PG_PAGETABLE,
     PageStructArray,
 )
+from repro.mem.page import add_at, has_duplicates
 
 
 @pytest.fixture
@@ -136,3 +140,58 @@ class TestBulkOps:
         assert pages.live_frames() == 0
         pages.on_alloc_bulk(np.arange(5, dtype=np.int64), PG_ANON)
         assert pages.live_frames() == 5
+
+
+#: Inputs for the duplicate check, by shape: the linear test must prove
+#: sorted-run shapes unique and fall back to the sort for everything else.
+_INDEX_CASES = {
+    "empty": [],
+    "one": [5],
+    "ascending": [1, 2, 3, 9, 40],
+    "ascending-dup": [1, 2, 2, 9, 40],
+    "descending": [40, 9, 3, 2, 1],
+    "descending-dup": [40, 9, 9, 2, 1],
+    "unsorted": [9, 1, 40, 3, 2],
+    "unsorted-dup": [9, 1, 40, 1, 2],
+    "disjoint-runs": [20, 21, 22, 1, 2, 3, 30, 31],
+    "disjoint-runs-dup": [20, 21, 22, 1, 2, 22, 30, 31],
+    "interleaved-runs": [1, 5, 9, 2, 6, 10],
+    "interleaved-runs-dup": [1, 5, 9, 2, 5, 10],
+}
+
+
+def _block_runs(blocks):
+    """Concatenated ascending blocks, like one batch of page tables."""
+    return np.concatenate([np.arange(lo, lo + n) for lo, n in blocks]
+                          or [np.empty(0, dtype=np.int64)])
+
+
+class TestDuplicateCheck:
+    @pytest.mark.parametrize("case", sorted(_INDEX_CASES))
+    def test_has_duplicates(self, case):
+        values = np.asarray(_INDEX_CASES[case], dtype=np.int64)
+        assert has_duplicates(values) == case.endswith("-dup")
+
+    @pytest.mark.parametrize("case", sorted(_INDEX_CASES))
+    def test_add_at_matches_numpy(self, case):
+        index = np.asarray(_INDEX_CASES[case], dtype=np.int64)
+        got = np.zeros(64, dtype=np.int32)
+        want = got.copy()
+        add_at(got, index, -3)
+        np.add.at(want, index, -3)
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(blocks=st.lists(st.tuples(st.integers(0, 200), st.integers(1, 12)),
+                           max_size=8),
+           extra=st.lists(st.integers(0, 220), max_size=3))
+    def test_block_runs_match_definition(self, blocks, extra):
+        values = np.concatenate([_block_runs(blocks),
+                                 np.asarray(extra, dtype=np.int64)])
+        unique = len(np.unique(values)) == len(values)
+        assert has_duplicates(values) == (not unique)
+        got = np.zeros(256, dtype=np.int32)
+        want = got.copy()
+        add_at(got, values, 1)
+        np.add.at(want, values, 1)
+        assert np.array_equal(got, want)

@@ -80,7 +80,7 @@ class TestEntryStoreRoundTrip:
             assert np.array_equal(store.row_view(row), table)
         # …and releasing one row never bleeds into its neighbours.
         victim = data.draw(st.integers(0, len(rows) - 1))
-        store.release(rows[victim])
+        store.release([rows[victim]])
         assert not store.row_view(rows[victim]).any()
         for i, row in enumerate(rows):
             if i != victim:
@@ -93,7 +93,7 @@ class TestEntryStoreRoundTrip:
         rows = [store.acquire() for _ in range(n)]
         for row in rows:
             store.row_view(row)[:] = np.uint64(0xDEAD)
-            store.release(row)
+            store.release([row])
         again = [store.acquire() for _ in range(n)]
         for row in again:
             assert not store.row_view(row).any()

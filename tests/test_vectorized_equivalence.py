@@ -17,10 +17,14 @@ and the golden needs a deliberate reseed.
 
 import hashlib
 
-from repro import Machine
+import pytest
+
+from repro import MAP_PRIVATE, Machine
 from repro.kernel.kernel import MADV_DONTNEED, MADV_HUGEPAGE
+from repro.verify import audit_machine
 
 MIB = 1024 * 1024
+GIB = 1024 * MIB
 
 
 def fingerprint(machine, procs_and_regions):
@@ -113,11 +117,43 @@ def fault_mix_flow(machine):
             (child, [(a, 2 * MIB), (b, 3 * MIB)])]
 
 
+def odfork_rss_flow(machine):
+    # The parent spans three PMD tables and maps anon, huge, shared-file
+    # and private-file pages, so the child's RSS copied from the parent
+    # must match the per-GiB count on every kind of page.
+    blob = machine.kernel.fs.create("/data/odfork-blob", size=1 * MIB)
+    blob.set_initial_contents(b"file page zero", offset=0)
+    parent = machine.spawn_process("parent")
+    big = parent.mmap(2 * GIB + 4 * MIB)
+    parent.touch_range(big, 2 * MIB, write=True)
+    parent.touch_range(big + GIB, 1 * MIB, write=True)
+    parent.touch_range(big + 2 * GIB, 4 * MIB, write=False)
+    huge = parent.mmap_huge(4 * MIB)
+    parent.touch_range(huge, 4 * MIB, write=True)
+    shared = parent.mmap_shared(1 * MIB, file=blob)
+    parent.touch_range(shared, 1 * MIB, write=False)
+    private = parent.mmap(512 * 1024, flags=MAP_PRIVATE, file=blob)
+    parent.touch_range(private, 512 * 1024, write=False)
+    parent.write(private + 4096, b"private file cow")
+    child = parent.odfork("child")
+    child.write(big + GIB + 4096, b"child table cow")
+    child.write(huge + 7, b"huge cow in child")
+    grandchild = child.odfork("grandchild")
+    grandchild.touch_range(shared, 1 * MIB, write=True)
+    audit_machine(machine)
+    regions = [(big, 2 * MIB), (big + GIB, 2 * MIB), (big + 2 * GIB, 4 * MIB),
+               (huge, 4 * MIB), (shared, 1 * MIB), (private, 512 * 1024)]
+    tracked = [(parent, regions), (child, regions), (grandchild, regions)]
+    child.exit()
+    return tracked
+
+
 def reclaim_flow(machine):
     # Small machine: the later allocations push past the watermark and
     # wake reclaim, swapping cold pages out; the fork fast path must
-    # bail (headroom rule) and the exit fast path must bail on swap
-    # entries, so this scenario exercises the engagement predicate.
+    # bail (headroom rule), and the exit fast path releases the child's
+    # swap entries table by table, so this scenario exercises the
+    # engagement predicate.
     proc = machine.spawn_process("hog")
     a = proc.mmap(8 * MIB)
     proc.touch_range(a, 8 * MIB, write=True)
@@ -171,6 +207,7 @@ GOLDEN = {
     "reclaim": "21c0383a7f9429d1",
     "thp": "6d25909a7c898384",
     "numa": "f3140b6a0f20b844",
+    "odfork_rss": "c5d53577a932c124",
 }
 
 
@@ -194,6 +231,72 @@ class TestFastPathEquivalence:
         from repro.numa.topology import NumaTopology
         run_paired(numa_flow, GOLDEN["numa"], phys_mb=128,
                    numa=NumaTopology(nodes=2))
+
+    def test_odfork_rss_flow(self):
+        run_paired(odfork_rss_flow, GOLDEN["odfork_rss"], phys_mb=128)
+
+
+@pytest.fixture
+def rss_counts(monkeypatch):
+    """Kswapd wakeups seen at each per-GiB RSS count odfork makes."""
+    import repro.kernel.odfork as odfork
+    seen = []
+    count = odfork._account_shared_tables_rss_bulk
+
+    def spy(kernel, *args):
+        seen.append(kernel.stats.kswapd_wakeups)
+        return count(kernel, *args)
+
+    monkeypatch.setattr(odfork, "_account_shared_tables_rss_bulk", spy)
+    return seen
+
+
+def _walked_rss(process):
+    return sum(vma["rss_bytes"] for vma in process.smaps())
+
+
+class TestOdforkRss:
+    def test_copied_when_headroom_holds(self, rss_counts):
+        machine = Machine(phys_mb=64)
+        parent = machine.spawn_process("parent")
+        addr = parent.mmap(GIB + 4 * MIB)
+        parent.touch_range(addr, 2 * MIB, write=True)
+        parent.touch_range(addr + GIB, 2 * MIB, write=True)
+        child = parent.odfork("child")
+        assert rss_counts == []
+        assert child.rss_bytes == parent.rss_bytes == _walked_rss(child)
+
+    def test_reference_path_counts(self, rss_counts):
+        machine = Machine(phys_mb=64, fastpath=False)
+        parent = machine.spawn_process("parent")
+        addr = parent.mmap(4 * MIB)
+        parent.touch_range(addr, 4 * MIB, write=True)
+        parent.odfork("child")
+        assert len(rss_counts) == 1
+
+    def test_counted_when_kswapd_runs_mid_copy(self, rss_counts):
+        machine = Machine(phys_mb=32, swap_mb=64)
+        kernel = machine.kernel
+        wm_low = kernel.reclaim.wm_low
+        parent = machine.spawn_process("parent")
+        # One touched slot in each of four GiB: the child needs a PUD
+        # and a PMD table per GiB, so the copy allocates as it goes.
+        big = parent.mmap(4 * GIB)
+        for i in range(4):
+            parent.touch_range(big + i * GIB, 256 * 1024, write=True)
+        filler = parent.mmap(64 * MIB)
+        page = 0
+        while kernel.allocator.free_frames > wm_low + 3:
+            parent.touch_range(filler + page * 4096, 4096, write=True)
+            page += 1
+        assert kernel.stats.kswapd_wakeups == 0
+        child = parent.odfork("child")
+        # The headroom proof failed, so every table was counted as it
+        # was shared, and kswapd ran between the first and last count.
+        assert rss_counts[0] == 0 and rss_counts[-1] == 1
+        assert machine.vmstat()["pswpout"] > 0
+        assert child.rss_bytes == _walked_rss(child)
+        audit_machine(machine)
 
 
 class TestEngagementPredicate:
