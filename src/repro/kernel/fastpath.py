@@ -28,11 +28,11 @@ state, and buddy free lists.  The rules that make that hold:
   ``alloc_table`` calls in the same address order, and frees keep the
   per-slot ``free_bulk`` grouping — buddy coalescing is batch-local, so
   the grouping *is* allocator state.
-* **Bail-before-mutate**: every fallback condition (store-less table,
-  duplicate pfns across batched slots, a released swap slot whose cached
-  frame the batch also unmaps) is detected by read-only analysis before
-  the first mutation, so a ``False`` return always means "run the
-  per-event path on untouched state".
+* **Bail-before-mutate**: every fallback condition (duplicate pfns
+  across an exit batch's slots, a released swap slot whose cached frame
+  the batch also unmaps) is detected by read-only analysis before the
+  first mutation, so a ``False`` return always means "run the per-event
+  path on untouched state".
 """
 
 from __future__ import annotations
@@ -73,7 +73,12 @@ from ..timing.costs import (
     FN_ZAP_PTE,
 )
 from ..trace import points
-from .fork import ChildTreeBuilder, _slot_needs_cow, clone_vmas, iter_parent_pmd_tables
+from .fork import (
+    _slot_needs_cow,
+    begin_classic_copy,
+    finish_classic_copy,
+    iter_parent_pmd_tables,
+)
 from .rmap import rmap_add_bulk, rmap_remove_bulk
 from ..sancheck.annotations import acquires, must_hold, tlb_deferred
 from .tableops import drop_table_sharer
@@ -107,9 +112,6 @@ FASTPATH_REPLACES = {
 FASTPATH_HANDLED = {
     "mitosis": "only live when NUMA replication is configured; the "
                "numa-is-None bail keeps the fast path off Mitosis machines",
-    "pt_sharers": "the analytic paths maintain sharer lists themselves "
-                  "(drop_table_sharer per surviving leaf), pinned "
-                  "bit-identical by the equivalence suite",
     "rmap": "fork raises the mapcount of already-mapped pages with one "
             "rmap_add_bulk (no LRU edge can fire) and its child tables join "
             "their parents' families via alloc_table(copy_of=) as in "
@@ -218,8 +220,6 @@ def fast_copy_mm_classic(kernel, parent_mm, child_mm):
         parent_pfns = entry_pfn(entries[leaf_pos]).astype(np.int64)
         parents = [kernel.resolve_table(ppfn) for ppfn in parent_pfns.tolist()]
         parent_rows = np.array([t.row for t in parents], dtype=np.int64)
-        if (parent_rows < 0).any():
-            return False  # store-less table (unit-test construction)
         plan.append((pmd, base, leaf_pos, huge_pos, parent_pfns, parents,
                      parent_rows))
         n_leaf_total += len(leaf_pos)
@@ -233,10 +233,7 @@ def fast_copy_mm_classic(kernel, parent_mm, child_mm):
     store = kernel.entry_store
     pages = kernel.pages
 
-    # Prologue: identical to begin_classic_copy.
-    cost.charge_fork_fixed(len(parent_mm.vmas))
-    clone_vmas(parent_mm, child_mm)
-    builder = ChildTreeBuilder(child_mm)
+    builder = begin_classic_copy(kernel, parent_mm, child_mm)
 
     charge_ids = []
     charge_ns = []
@@ -345,15 +342,8 @@ def fast_copy_mm_classic(kernel, parent_mm, child_mm):
         cost.charge_many(np.concatenate(charge_ids),
                          np.concatenate(charge_ns), _FORK_FNS)
 
-    # Epilogue: identical to finish_classic_copy.
-    if n_leaf_total:
-        cost.charge_fork_warmup()
-    elif n_huge_total:
-        cost.charge_huge_fork_fixed()
-    cost.charge_upper_copy(builder.upper_tables_created)
-    child_mm.odf_lineage = parent_mm.odf_lineage
-    kernel.tlbs.shootdown_mm(parent_mm)
-    kernel.stats.forks += 1
+    finish_classic_copy(kernel, parent_mm, child_mm, builder, n_leaf_total,
+                        n_huge_total)
     return True
 
 
@@ -408,8 +398,6 @@ def fast_exit_release_pmd_table(kernel, mm, pmd_table, table_base):
         rows = np.empty(len(dead), dtype=np.int64)
         for i, tpfn in enumerate(dead):
             table = kernel.resolve_table(tpfn)
-            if table.row < 0:
-                return False  # store-less table (unit-test construction)
             dead_tables.append(table)
             rows[i] = table.row
         matrix = kernel.entry_store.gather(rows)
@@ -438,9 +426,8 @@ def fast_exit_release_pmd_table(kernel, mm, pmd_table, table_base):
     # ---- shared leaf tables: one refcount decrement each ----------------
     if surviving is not None and surviving.any():
         drop_positions = leaf_positions[surviving]
-        if kernel.pt_sharers is not None:
-            for leaf_pfn in leaf_pfns[surviving].tolist():
-                drop_table_sharer(kernel, leaf_pfn, mm)
+        for leaf_pfn in leaf_pfns[surviving].tolist():
+            drop_table_sharer(kernel, leaf_pfn, mm)
         pages.pt_refcount[leaf_pfns[surviving]] -= 1
         entries[drop_positions] = ENTRY_NONE
         mm.nr_pte_tables -= len(drop_positions)
@@ -496,10 +483,9 @@ def fast_exit_release_pmd_table(kernel, mm, pmd_table, table_base):
                 kernel.swap_put_entries(matrix[i])
             allocator.free(table_pfn, 0)
         pt_sharers = kernel.pt_sharers
-        if pt_sharers is not None:
-            for table_pfn in dead:
-                drop_table_sharer(kernel, table_pfn, mm)
-                del pt_sharers[table_pfn]
+        for table_pfn in dead:
+            drop_table_sharer(kernel, table_pfn, mm)
+            del pt_sharers[table_pfn]
         if kernel.rmap is not None:
             kernel.rmap.leave(dead)
         kernel.unregister_table(dead_tables)  # re-zeroes the packed rows

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..mem.page import HUGE_PAGE_ORDER, PTRS_PER_TABLE
-from ..paging.entries import BIT_RW, entry_pfn, is_huge, make_entry
+from ..paging.entries import BIT_RW, entry_pfn, is_huge, is_present, make_entry
 from ..paging.table import (
     LEVEL_PGD,
     LEVEL_PMD,
@@ -52,12 +52,32 @@ def iter_parent_pmd_tables(mm):
             yield pmd, base
 
 
-def iter_parent_pmds(mm):
-    """Yield ``(pmd_table, pmd_index, slot_start)`` for every present PMD
-    entry in ``mm``, in address order."""
-    for pmd, base in iter_parent_pmd_tables(mm):
-        for pmd_index in pmd.present_indices().tolist():
-            yield pmd, pmd_index, base + pmd_index * LEVEL_SPAN[LEVEL_PMD]
+def iter_parent_slots(mm):
+    """Yield ``(pmd_table, pmd_index, slot_start, entry)`` for every present
+    PMD entry in ``mm``, in address order.
+
+    The slot list is taken up front and each entry re-read when its slot
+    comes up, skipping one no longer present: the SMP fork flow lets
+    other tasks run between slots.
+    """
+    slots = [(pmd, pmd_index, base + pmd_index * LEVEL_SPAN[LEVEL_PMD])
+             for pmd, base in iter_parent_pmd_tables(mm)
+             for pmd_index in pmd.present_indices().tolist()]
+    for pmd, pmd_index, slot_start in slots:
+        entry = pmd.entries[pmd_index]
+        if is_present(entry):
+            yield pmd, pmd_index, slot_start, entry
+
+
+#: Yielded by the fork walks after each slot; before it they yield the
+#: slot's split-lock key (:func:`slot_lock_key`).
+SLOT_DONE = "slot-done"
+
+
+def slot_lock_key(entry):
+    """The split-lock key of a present PMD slot: its leaf table's pfn, or
+    ``None`` for a huge slot (no leaf table to lock)."""
+    return None if is_huge(entry) else int(entry_pfn(entry))
 
 
 class ChildTreeBuilder:
@@ -111,36 +131,20 @@ def clone_vmas(parent_mm, child_mm):
         child_mm.add_vma(vma.clone())
 
 
-class ClassicCopyState:
-    """Walk state threaded through a slot-at-a-time classic copy.
-
-    ``copy_mm_classic`` drives the whole walk in one call; the SMP fork
-    flow drives the same three phases (begin, one call per 2 MiB slot,
-    finish) as a generator so the scheduler can interleave other vCPUs
-    at every slot boundary.
-    """
-
-    __slots__ = ("builder", "n_leaf_tables", "n_huge_entries")
-
-    def __init__(self, builder):
-        self.builder = builder
-        self.n_leaf_tables = 0
-        self.n_huge_entries = 0
-
-
 @must_hold("mmap_lock")
 def begin_classic_copy(kernel, parent_mm, child_mm):
     """Fixed-cost prologue: task/VMA duplication and the child tree root."""
     kernel.cost.charge_fork_fixed(len(parent_mm.vmas))
     clone_vmas(parent_mm, child_mm)
-    return ClassicCopyState(ChildTreeBuilder(child_mm))
+    return ChildTreeBuilder(child_mm)
 
 
 @must_hold("mmap_lock", "ptl")
 @tlb_deferred("write-protects parent COW entries; finish_classic_copy shoots the parent down once for the whole copy")
-def classic_copy_slot(kernel, parent_mm, child_mm, state, pmd, pmd_index,
+def classic_copy_slot(kernel, parent_mm, child_mm, builder, pmd, pmd_index,
                       slot_start):
-    """Copy one present PMD slot (2 MiB) from parent to child.
+    """Copy one present PMD slot (2 MiB) from parent to child; returns 1
+    when it copied a leaf table, 0 for a huge entry.
 
     Failure-atomic at slot granularity: the only fallible operations are
     the table allocations at the top, so an OOM here leaves the child
@@ -151,7 +155,7 @@ def classic_copy_slot(kernel, parent_mm, child_mm, state, pmd, pmd_index,
     cost = kernel.cost
     drop_rw = np.uint64(~BIT_RW)
     entry = pmd.entries[pmd_index]
-    child_pmd, child_index = state.builder.pmd_for(slot_start)
+    child_pmd, child_index = builder.pmd_for(slot_start)
 
     if is_huge(entry):
         head = int(entry_pfn(entry))
@@ -162,11 +166,10 @@ def classic_copy_slot(kernel, parent_mm, child_mm, state, pmd, pmd_index,
         child_pmd.entries[child_index] = entry
         child_mm.add_rss(1 << HUGE_PAGE_ORDER, file_backed=False)
         cost.charge_copy_huge_entries(1)
-        state.n_huge_entries += 1
         if points.enabled:
             points.tracepoint("fork.copy_slot", slot_start=slot_start,
                               huge=True, n_present=1)
-        return
+        return 0
 
     parent_leaf = parent_mm.resolve(int(entry_pfn(entry)))
     kernel.san_access("pt", int(entry_pfn(entry)))
@@ -207,23 +210,24 @@ def classic_copy_slot(kernel, parent_mm, child_mm, state, pmd, pmd_index,
     cost.charge_pte_table_alloc()
     cost.charge_copy_pte_entries(len(pfns))
     child_pmd.set(child_index, make_entry(child_leaf.pfn, writable=True, user=True))
-    state.n_leaf_tables += 1
     if points.enabled:
         points.tracepoint("fork.copy_slot", slot_start=slot_start,
                           huge=False, n_present=len(pfns))
+    return 1
 
 
 @must_hold("mmap_lock")
-def finish_classic_copy(kernel, parent_mm, child_mm, state):
-    """Epilogue: warm-up/fixed charges, RSS copy, and the parent shootdown."""
+def finish_classic_copy(kernel, parent_mm, child_mm, builder, n_leaf_tables,
+                        n_huge_entries):
+    """Epilogue: warm-up/fixed charges, lineage, and the parent shootdown."""
     cost = kernel.cost
-    if state.n_leaf_tables:
+    if n_leaf_tables:
         # First-touch misses on struct page and allocator state; huge-only
         # address spaces skip this, which is most of Figure 4's advantage.
         cost.charge_fork_warmup()
-    elif state.n_huge_entries:
+    elif n_huge_entries:
         cost.charge_huge_fork_fixed()
-    cost.charge_upper_copy(state.builder.upper_tables_created)
+    cost.charge_upper_copy(builder.upper_tables_created)
     child_mm.odf_lineage = parent_mm.odf_lineage
     # Write-protecting private-COW entries invalidates writable
     # translations on every CPU running the parent's address space.
@@ -231,20 +235,39 @@ def finish_classic_copy(kernel, parent_mm, child_mm, state):
     kernel.stats.forks += 1
     if points.enabled:
         points.tracepoint("fork.copy_done",
-                          leaf_tables=state.n_leaf_tables,
-                          huge_entries=state.n_huge_entries,
-                          upper_tables=state.builder.upper_tables_created)
+                          leaf_tables=n_leaf_tables,
+                          huge_entries=n_huge_entries,
+                          upper_tables=builder.upper_tables_created)
+
+
+@must_hold("mmap_lock", "ptl")
+def classic_copy_walk(kernel, parent_mm, child_mm):
+    """Classic fork's copy as a generator over the parent's slots.
+
+    Yields each present slot's :func:`slot_lock_key` before copying it
+    and :data:`SLOT_DONE` after: the caller holds that split lock across
+    the slot.  :func:`copy_mm_classic` drains it; the SMP fork flow takes
+    the lock and lets other vCPUs run between slots.
+    """
+    builder = begin_classic_copy(kernel, parent_mm, child_mm)
+    n_slots = n_leaf_tables = 0
+    for pmd, pmd_index, slot_start, entry in iter_parent_slots(parent_mm):
+        yield slot_lock_key(entry)
+        n_leaf_tables += classic_copy_slot(kernel, parent_mm, child_mm,
+                                           builder, pmd, pmd_index,
+                                           slot_start)
+        n_slots += 1
+        yield SLOT_DONE
+    finish_classic_copy(kernel, parent_mm, child_mm, builder, n_leaf_tables,
+                        n_slots - n_leaf_tables)
 
 
 @must_hold("mmap_lock")
 @acquires("ptl")
 def copy_mm_classic(kernel, parent_mm, child_mm):
     """Duplicate ``parent_mm`` into ``child_mm`` the traditional way."""
-    state = begin_classic_copy(kernel, parent_mm, child_mm)
-    for pmd, pmd_index, slot_start in iter_parent_pmds(parent_mm):
-        classic_copy_slot(kernel, parent_mm, child_mm, state, pmd,
-                          pmd_index, slot_start)
-    finish_classic_copy(kernel, parent_mm, child_mm, state)
+    for _ in classic_copy_walk(kernel, parent_mm, child_mm):
+        pass
 
 
 def _slot_needs_cow(mm, slot_start):

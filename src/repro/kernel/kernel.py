@@ -583,15 +583,24 @@ class Kernel:
         """The paper's new system call: share last-level page tables."""
         return self._do_fork(task, use_odf=True, name=name)
 
+    def _fork_child(self, parent, name=None):
+        """The task a fork creates, before its address space is copied.
+
+        Shared by the syscall and the SMP fork flow: the child inherits
+        the procfs odfork flag and, as on Linux, the mempolicy.
+        """
+        child = self._new_task(parent=parent,
+                               name=name or f"{parent.name}-child")
+        child.odfork_default = parent.odfork_default
+        if parent.mm.mempolicy is not None:
+            child.mm.mempolicy = parent.mm.mempolicy.clone()
+        return child
+
     @acquires("mmap_lock")
     def _do_fork(self, task, use_odf, name):
         task.require_alive()
         start_ns = self.clock.now_ns
-        child = self._new_task(parent=task, name=name or f"{task.name}-child")
-        child.odfork_default = task.odfork_default
-        if task.mm.mempolicy is not None:
-            # mempolicy is inherited across fork, as on Linux.
-            child.mm.mempolicy = task.mm.mempolicy.clone()
+        child = self._fork_child(task, name)
         try:
             if use_odf:
                 copy_mm_odf(self, task.mm, child.mm)

@@ -96,8 +96,7 @@ class MMStruct:
         if level == LEVEL_PTE:
             kernel.pages.pt_refcount[pfn] = 1
             self.nr_pte_tables += 1
-            if kernel.pt_sharers is not None:
-                kernel.pt_sharers[pfn] = [self]
+            kernel.pt_sharers[pfn] = [self]
             if kernel.rmap is not None:
                 kernel.rmap.join(table, copy_of)
         elif level != LEVEL_PGD:
@@ -119,8 +118,7 @@ class MMStruct:
             # goes, while node_of/accounting still see a live table.
             kernel.mitosis.collapse_table(table.pfn, reason="free")
         if table.level == LEVEL_PTE:
-            if kernel.pt_sharers is not None:
-                kernel.pt_sharers.pop(table.pfn, None)
+            kernel.pt_sharers.pop(table.pfn, None)
             if kernel.rmap is not None:
                 kernel.rmap.leave([table.pfn])
         kernel.unregister_table([table])

@@ -20,7 +20,9 @@ time (:func:`~repro.kernel.tableops.copy_shared_pte_table`).
 The implementation is vectorised at PMD-table granularity (one numpy pass
 per 1 GiB of address space), both for host-speed and for fidelity: the
 real implementation's cost is likewise dominated by one refcount increment
-and one entry write per shared table, not by per-page work.
+and one entry write per shared table, not by per-page work.  The SMP fork
+flow runs the same share body one 2 MiB slot at a time
+(:func:`odf_share_walk`).
 
 Huge (PMD-level) entries have no leaf table to share; by default they are
 copied eagerly like classic fork, which matches the paper's implementation
@@ -33,18 +35,26 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..mem.page import HUGE_PAGE_ORDER
-from ..paging.entries import BIT_PS, BIT_RW, entry_pfn, is_huge, present_mask
+from ..mem.page import HUGE_PAGE_ORDER, PTRS_PER_TABLE
+from ..paging.entries import BIT_PS, BIT_RW, entry_pfn, present_mask
 from .fastpath import _fork_headroom_ok, fast_path_ok
 from .fork import (
+    SLOT_DONE,
     ChildTreeBuilder,
     _slot_needs_cow,
     clone_vmas,
     iter_parent_pmd_tables,
+    iter_parent_slots,
+    slot_lock_key,
 )
 from ..paging.table import LEVEL_PGD, LEVEL_PMD, LEVEL_SPAN
-from .tableops import add_table_sharer, count_file_pages, table_present_pfns
-from ..sancheck.annotations import acquires, must_hold, tlb_deferred
+from .tableops import count_file_pages
+from ..sancheck.annotations import (
+    acquires,
+    charge_deferred,
+    must_hold,
+    tlb_deferred,
+)
 from ..trace import points
 
 #: Deliberate-bug switch for the differential oracle's self-test: when
@@ -80,36 +90,18 @@ def _apply_replica_share_policy(kernel, child_mm, leaf_pfns):
             child_mm.replicated = True
 
 
-def _account_shared_table_rss(kernel, mm, child_mm, leaf_pfn):
-    """Sharing a leaf table makes its present pages resident in the child.
-
-    Accounted per table, not copied from the parent at the end (that
-    needs :func:`_child_rss_is_parents`), so a concurrent reclaim that
-    edits an already-shared table mid-odfork finds the child's RSS
-    consistent with its mappings.
-    """
-    leaf = mm.resolve(leaf_pfn)
-    _, pfns = table_present_pfns(leaf)
-    if len(pfns):
-        n_file = count_file_pages(kernel, pfns)
-        child_mm.add_rss(n_file, file_backed=True)
-        child_mm.add_rss(len(pfns) - n_file, file_backed=False)
-
-
 def _account_shared_tables_rss_bulk(kernel, mm, child_mm, leaf_pfns):
-    """Vectorised :func:`_account_shared_table_rss` over many leaf tables.
+    """Sharing leaf tables makes their present pages resident in the child.
 
-    RSS is pure addition, so summing across one packed gather of all the
-    tables' rows lands on the same totals as the per-table loop.  Falls
-    back to the loop when any table is store-less (unit-test setups).
+    Counted as the tables are shared, not copied from the parent at the
+    end (that needs :func:`_child_rss_is_parents`), so a concurrent
+    reclaim that edits an already-shared table mid-odfork finds the
+    child's RSS consistent with its mappings.  One packed gather covers
+    all the tables' rows.
     """
-    tables = [mm.resolve(leaf_pfn) for leaf_pfn in leaf_pfns.tolist()]
-    rows = np.fromiter((t.row for t in tables), dtype=np.int64,
-                       count=len(tables))
-    if np.any(rows < 0):
-        for table in tables:
-            _account_shared_table_rss(kernel, mm, child_mm, table.pfn)
-        return
+    rows = np.fromiter((mm.resolve(leaf_pfn).row
+                        for leaf_pfn in leaf_pfns.tolist()),
+                       dtype=np.int64, count=len(leaf_pfns))
     matrix = kernel.entry_store.gather(rows)
     data_pfns = entry_pfn(matrix[present_mask(matrix)]).astype(np.int64)
     if len(data_pfns):
@@ -140,79 +132,124 @@ def _child_rss_is_parents(kernel, parent_mm):
     return _fork_headroom_ok(kernel, n_pmd + len(pud_keys))
 
 
+@must_hold("mmap_lock", "ptl")
+@tlb_deferred("the PMD write-protect is batched; finish_odf_copy shoots the parent down once")
+@charge_deferred("callers charge the shared tables: copy_mm_odf once per fork, odf_share_walk once per slot")
+def share_pmd_entries(kernel, parent_mm, child_mm, builder, parent_pmd,
+                      table_base, present, copy_rss, share_huge=False):
+    """Share (or, for huge entries, eagerly copy) the ``present`` entries
+    of one parent PMD table; returns how many leaf tables it shared.
+
+    Vectorised §3.5: one refcount increment per shared table and one
+    write-protected PMD entry on each side.  ``present`` is a boolean
+    mask over the table's 512 entries, all of them present: the whole
+    table for :func:`copy_mm_odf`, one slot for :func:`odf_share_walk`.
+    With ``copy_rss`` the caller copies the parent's RSS afterwards
+    instead of counting each shared table's pages here.
+    """
+    kernel.failpoints.hit("odfork.share_table")
+    cost = kernel.cost
+    drop_rw = np.uint64(~BIT_RW)
+    entries = parent_pmd.entries
+    child_pmd = builder.pmd_table_for(table_base)
+    huge = present & ((entries & BIT_PS) != np.uint64(0))
+    leaf_positions = present & ~huge
+    count = 0
+
+    if leaf_positions.any():
+        pfns = entry_pfn(entries[leaf_positions]).astype(np.int64)
+        kernel.pages.pt_refcount[pfns] += 1
+        for leaf_pfn in pfns.tolist():
+            kernel.pt_sharers[leaf_pfn].append(child_mm)
+        if not copy_rss:
+            _account_shared_tables_rss_bulk(kernel, parent_mm, child_mm, pfns)
+        if kernel.mitosis is not None:
+            _apply_replica_share_policy(kernel, child_mm, pfns.tolist())
+        protected = entries[leaf_positions] & drop_rw
+        if not FAULT_INJECT_SKIP_PARENT_WP:
+            entries[leaf_positions] = protected
+        child_pmd.entries[leaf_positions] = protected
+        count = int(np.count_nonzero(leaf_positions))
+        # The PMD write-protect edits the parent's (replicated) PMD
+        # table, and populates the child's fresh one.
+        kernel.note_table_write(parent_pmd, count)
+        kernel.note_table_write(child_pmd, count)
+        child_mm.nr_pte_tables += count
+        if points.enabled:
+            points.tracepoint("odfork.share_table", table_base=table_base,
+                              n_shared=count,
+                              n_huge=int(np.count_nonzero(huge)))
+
+    for pmd_index in np.nonzero(huge)[0].tolist():
+        entry = entries[pmd_index]
+        head = int(entry_pfn(entry))
+        kernel.pages.ref_inc(head)
+        slot_start = table_base + pmd_index * LEVEL_SPAN[LEVEL_PMD]
+        if _slot_needs_cow(parent_mm, slot_start) or share_huge:
+            entry &= drop_rw
+            entries[pmd_index] = entry
+        child_pmd.entries[pmd_index] = entry
+        if not copy_rss:
+            child_mm.add_rss(1 << HUGE_PAGE_ORDER, file_backed=False)
+        if share_huge:
+            # §4 generalisation: one permission-drop per 2 MiB entry,
+            # charged like a table share instead of the eager copy.
+            cost.charge_share_tables(1)
+        else:
+            cost.charge_copy_huge_entries(1)
+    return count
+
+
 @must_hold("mmap_lock")
 @acquires("ptl")
 def copy_mm_odf(kernel, parent_mm, child_mm, share_huge=False):
     """Share ``parent_mm``'s leaf tables into ``child_mm`` (§3.1, §3.5)."""
-    cost = kernel.cost
     copy_rss = _child_rss_is_parents(kernel, parent_mm)
     builder = begin_odf_copy(kernel, parent_mm, child_mm)
-    drop_rw = np.uint64(~BIT_RW)
     shared_tables = 0
-
     for parent_pmd, table_base in iter_parent_pmd_tables(parent_mm):
-        entries = parent_pmd.entries
-        present = present_mask(entries)
-        if not present.any():
-            continue
-        kernel.failpoints.hit("odfork.share_table")
-        child_pmd = builder.pmd_table_for(table_base)
-        huge = (entries & BIT_PS) != np.uint64(0)
-        leaf_positions = present & ~huge
-
-        if leaf_positions.any():
-            # Vectorised §3.5: one refcount increment per shared table and
-            # one write-protected PMD entry on each side.
-            pfns = entry_pfn(entries[leaf_positions]).astype(np.int64)
-            kernel.pages.pt_refcount[pfns] += 1
-            for leaf_pfn in pfns.tolist():
-                kernel.pt_sharers[leaf_pfn].append(child_mm)
-            if not copy_rss:
-                _account_shared_tables_rss_bulk(kernel, parent_mm, child_mm,
-                                                pfns)
-            if kernel.mitosis is not None:
-                _apply_replica_share_policy(kernel, child_mm, pfns.tolist())
-            protected = entries[leaf_positions] & drop_rw
-            if not FAULT_INJECT_SKIP_PARENT_WP:
-                entries[leaf_positions] = protected
-            child_pmd.entries[leaf_positions] = protected
-            count = int(np.count_nonzero(leaf_positions))
-            # The PMD write-protect edits the parent's (replicated) PMD
-            # table, and populates the child's fresh one.
-            kernel.note_table_write(parent_pmd, count)
-            kernel.note_table_write(child_pmd, count)
-            shared_tables += count
-            child_mm.nr_pte_tables += count
-            if points.enabled:
-                points.tracepoint("odfork.share_table", table_base=table_base,
-                                  n_shared=count,
-                                  n_huge=int(np.count_nonzero(present & huge)))
-
-        huge_positions = np.nonzero(present & huge)[0]
-        for pmd_index in huge_positions.tolist():
-            entry = entries[pmd_index]
-            head = int(entry_pfn(entry))
-            kernel.pages.ref_inc(head)
-            slot_start = table_base + pmd_index * LEVEL_SPAN[LEVEL_PMD]
-            if _slot_needs_cow(parent_mm, slot_start) or share_huge:
-                entry &= drop_rw
-                entries[pmd_index] = entry
-            child_pmd.entries[pmd_index] = entry
-            if not copy_rss:
-                child_mm.add_rss(1 << HUGE_PAGE_ORDER, file_backed=False)
-            if share_huge:
-                # §4 generalisation: one permission-drop per 2 MiB entry,
-                # charged like a table share instead of the eager copy.
-                cost.charge_share_tables(1)
-            else:
-                cost.charge_copy_huge_entries(1)
-
+        present = present_mask(parent_pmd.entries)
+        if present.any():
+            shared_tables += share_pmd_entries(
+                kernel, parent_mm, child_mm, builder, parent_pmd, table_base,
+                present, copy_rss, share_huge)
     if copy_rss:
         child_mm.add_rss(parent_mm.rss_file_pages, file_backed=True)
         child_mm.add_rss(parent_mm.rss_anon_pages, file_backed=False)
-    cost.charge_share_tables(shared_tables)
+    kernel.cost.charge_share_tables(shared_tables)
     finish_odf_copy(kernel, parent_mm, child_mm, builder, shared_tables)
     return shared_tables
+
+
+@must_hold("mmap_lock", "ptl")
+def odf_share_walk(kernel, parent_mm, child_mm):
+    """:func:`copy_mm_odf` as a generator over the parent's slots.
+
+    The same protocol as :func:`~repro.kernel.fork.classic_copy_walk`:
+    each present slot's split-lock key before sharing it, ``SLOT_DONE``
+    after.  The SMP fork flow drives it so the scheduler can interleave
+    other vCPUs between 2 MiB slots; each slot's RSS is counted as it
+    is shared, because a concurrent reclaim may edit shared tables.
+    """
+    builder = begin_odf_copy(kernel, parent_mm, child_mm)
+    shared_tables = 0
+    for pmd, pmd_index, slot_start, entry in iter_parent_slots(parent_mm):
+        key = slot_lock_key(entry)
+        yield key
+        if key is not None:
+            # KCSAN hook, here rather than in the share body: it is a
+            # no-op outside SMP, and one call per shared table would add
+            # over half to the host time of the syscall's sweep.
+            kernel.san_access("pt", key)
+        present = np.zeros(PTRS_PER_TABLE, dtype=bool)
+        present[pmd_index] = True
+        table_base = slot_start - pmd_index * LEVEL_SPAN[LEVEL_PMD]
+        shared = share_pmd_entries(kernel, parent_mm, child_mm, builder, pmd,
+                                   table_base, present, copy_rss=False)
+        kernel.cost.charge_share_tables(shared)
+        shared_tables += shared
+        yield SLOT_DONE
+    finish_odf_copy(kernel, parent_mm, child_mm, builder, shared_tables)
 
 
 @must_hold("mmap_lock")
@@ -221,57 +258,6 @@ def begin_odf_copy(kernel, parent_mm, child_mm):
     kernel.cost.charge_odfork_fixed(len(parent_mm.vmas))
     clone_vmas(parent_mm, child_mm)
     return ChildTreeBuilder(child_mm)
-
-
-@must_hold("mmap_lock", "ptl")
-@tlb_deferred("the PMD write-protect is batched; finish_odf_copy shoots the parent down once")
-def share_one_slot(kernel, parent_mm, child_mm, builder, pmd, pmd_index,
-                   slot_start, share_huge=False):
-    """Share (or eagerly copy, for huge entries) one present PMD slot.
-
-    Scalar counterpart of the vectorised loop in :func:`copy_mm_odf`,
-    used by the SMP odfork flow so the scheduler can preempt between
-    2 MiB slots.  Returns 1 when a leaf table was shared, else 0.
-    """
-    kernel.failpoints.hit("odfork.share_table")
-    cost = kernel.cost
-    drop_rw = np.uint64(~BIT_RW)
-    entry = pmd.entries[pmd_index]
-    child_pmd, child_index = builder.pmd_for(slot_start)
-
-    if is_huge(entry):
-        head = int(entry_pfn(entry))
-        kernel.pages.ref_inc(head)
-        if _slot_needs_cow(parent_mm, slot_start) or share_huge:
-            entry &= drop_rw
-            pmd.entries[pmd_index] = entry
-        child_pmd.entries[child_index] = entry
-        child_mm.add_rss(1 << HUGE_PAGE_ORDER, file_backed=False)
-        if share_huge:
-            cost.charge_share_tables(1)
-        else:
-            cost.charge_copy_huge_entries(1)
-        return 0
-
-    leaf_pfn = int(entry_pfn(entry))
-    kernel.san_access("pt", leaf_pfn)
-    kernel.pages.pt_refcount[leaf_pfn] += 1
-    add_table_sharer(kernel, leaf_pfn, child_mm)
-    _account_shared_table_rss(kernel, parent_mm, child_mm, leaf_pfn)
-    if kernel.mitosis is not None:
-        _apply_replica_share_policy(kernel, child_mm, [leaf_pfn])
-    protected = entry & drop_rw
-    if not FAULT_INJECT_SKIP_PARENT_WP:
-        pmd.entries[pmd_index] = protected
-    child_pmd.entries[child_index] = protected
-    kernel.note_table_write(pmd)
-    kernel.note_table_write(child_pmd)
-    child_mm.nr_pte_tables += 1
-    cost.charge_share_tables(1)
-    if points.enabled:
-        points.tracepoint("odfork.share_table", table_base=slot_start,
-                          n_shared=1, n_huge=0)
-    return 1
 
 
 @must_hold("mmap_lock")

@@ -42,7 +42,7 @@ from ..errors import InvalidArgumentError, KernelBug
 from ..mem.page import PAGE_SIZE
 from ..paging.entries import BIT_RW, entry_pfn, is_huge, is_present, present_mask
 from ..paging.table import PMD_REGION_SIZE
-from .fork import iter_parent_pmds
+from .fork import iter_parent_slots
 from .rmap import rmap_add_bulk, rmap_remove_bulk
 from .tableops import (
     copy_shared_pte_table,
@@ -86,8 +86,7 @@ class Snapshot:
         snapshot = cls(kernel, mm)
         drop_rw = np.uint64(~BIT_RW)
         try:
-            for pmd_table, pmd_index, slot_start in list(iter_parent_pmds(mm)):
-                entry = pmd_table.entries[pmd_index]
+            for pmd_table, pmd_index, slot_start, entry in iter_parent_slots(mm):
                 if is_huge(entry):
                     raise InvalidArgumentError(
                         "snapshot over huge mappings is not supported"

@@ -40,19 +40,10 @@ from ..sancheck.annotations import charge_deferred, must_hold
 from ..trace import points
 
 
-def add_table_sharer(kernel, leaf_pfn, mm):
-    """Record ``mm`` as a sharer of a leaf table (odfork share)."""
-    if kernel.pt_sharers is not None:
-        kernel.pt_sharers[leaf_pfn].append(mm)
-
-
 def drop_table_sharer(kernel, leaf_pfn, mm):
     """Remove ``mm`` from a leaf table's sharer list."""
-    sharers = kernel.pt_sharers
-    if sharers is None:
-        return
     try:
-        sharers[leaf_pfn].remove(mm)
+        kernel.pt_sharers[leaf_pfn].remove(mm)
     except (KeyError, ValueError):
         raise KernelBug(
             f"mm {mm.owner_pid} is not a registered sharer of table {leaf_pfn}"

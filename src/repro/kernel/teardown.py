@@ -156,9 +156,8 @@ def _exit_release_pmd_table(kernel, mm, pmd_table, table_base):
         surviving = refs > 1
         if surviving.any():
             drop_positions = leaf_positions[surviving]
-            if kernel.pt_sharers is not None:
-                for leaf_pfn in pfns[surviving].tolist():
-                    drop_table_sharer(kernel, leaf_pfn, mm)
+            for leaf_pfn in pfns[surviving].tolist():
+                drop_table_sharer(kernel, leaf_pfn, mm)
             kernel.pages.pt_refcount[pfns[surviving]] -= 1
             entries[drop_positions] = ENTRY_NONE
             mm.nr_pte_tables -= len(drop_positions)

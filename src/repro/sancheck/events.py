@@ -47,7 +47,6 @@ TRANSFER_CALLS = frozenset({"rmap_add", "rmap_add_bulk", "set"})
 #: vs ``collapse_table(table_pfn)`` — so textual keys cannot pair).
 COUNTER_INC = {
     "add_rss": "rss",
-    "add_table_sharer": "pt_sharers",
     "register_table": "table",
     "replicate_table": "replica",
 }

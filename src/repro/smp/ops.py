@@ -16,14 +16,9 @@ explorer's schedules enumerate exactly these boundaries.
 from __future__ import annotations
 
 from ..core.process import Process
-from ..errors import KernelBug
-from ..kernel.fork import (
-    begin_classic_copy,
-    classic_copy_slot,
-    finish_classic_copy,
-    iter_parent_pmds,
-)
-from ..kernel.odfork import begin_odf_copy, finish_odf_copy, share_one_slot
+from ..errors import KernelBug, OutOfMemoryError
+from ..kernel.fork import SLOT_DONE, classic_copy_walk
+from ..kernel.odfork import odf_share_walk
 from ..mem.page import PAGE_SIZE
 from ..paging.entries import entry_pfn, is_huge, is_present
 from ..paging.walk import MMUFault
@@ -59,70 +54,58 @@ def _ptl_key(mm, vaddr):
 def fork_flow(sched, process, use_odf=False, child_name=None):
     """Fork ``process`` slot-by-slot under ``mmap_lock`` + per-table PTLs.
 
-    Classic forks run inside the emergent-contention phase (their leaf
-    loops hammer the struct-page cachelines); odforks never touch the
-    leaf level and stay out of it — which is exactly the paper's
-    scalability argument.  Returns ``{"child": Process, "elapsed_ns": n}``
-    via the generator's return value; ``elapsed_ns`` spans lock wait to
-    final shootdown like a wall-clock measurement of the syscall.
+    Drives the kernel's own fork walk (``classic_copy_walk`` or
+    ``odf_share_walk``) and adds only the locking: ``mmap_lock`` for
+    write around the whole fork, each leaf slot's PTL around that slot,
+    and a preemption point between slots.  Classic forks run inside the
+    emergent-contention phase (their leaf loops hammer the struct-page
+    cachelines); odforks never touch the leaf level and stay out of it
+    — which is exactly the paper's scalability argument.  An OOM unwinds
+    like the syscall's: the half-built child is torn down before
+    ``mmap_lock`` is dropped.  Returns ``{"child": Process,
+    "elapsed_ns": n}`` via the generator's return value; ``elapsed_ns``
+    spans lock wait to final shootdown like a wall-clock measurement of
+    the syscall.
     """
     kernel = process.kernel
     task = process.task
     mm = task.mm
-    machine = process.machine
     mmap = sched.mmap_lock(mm)
     t_start = sched.now_ns()
     kernel.cost.charge_syscall()
     yield Acquire(mmap, MODE_WRITE)
-    name = child_name or f"{task.name}-child"
-    child_task = kernel._new_task(parent=task, name=name)
-    child_task.odfork_default = task.odfork_default
-    child_mm = child_task.mm
+    child_task = kernel._fork_child(task, child_name)
+    if use_odf:
+        walk = odf_share_walk(kernel, mm, child_task.mm)
+        tag = "odfork.slot"
+    else:
+        walk = classic_copy_walk(kernel, mm, child_task.mm)
+        tag = "fork.slot"
+        sched.phase_enter()
+    ptl = None
     try:
-        if use_odf:
-            builder = begin_odf_copy(kernel, mm, child_mm)
-            shared = 0
-            for pmd, pmd_index, slot_start in list(iter_parent_pmds(mm)):
-                entry = pmd.entries[pmd_index]
-                if not is_present(entry):
-                    continue
-                if is_huge(entry):
-                    share_one_slot(kernel, mm, child_mm, builder, pmd,
-                                   pmd_index, slot_start)
-                else:
-                    ptl = sched.pt_lock(int(entry_pfn(entry)))
-                    yield Acquire(ptl)
-                    shared += share_one_slot(kernel, mm, child_mm, builder,
-                                             pmd, pmd_index, slot_start)
+        for key in walk:
+            if key is SLOT_DONE:
+                if ptl is not None:
                     yield Release(ptl)
-                yield Preempt("odfork.slot")
-            finish_odf_copy(kernel, mm, child_mm, builder, shared)
-        else:
-            state = begin_classic_copy(kernel, mm, child_mm)
-            sched.phase_enter()
-            try:
-                for pmd, pmd_index, slot_start in list(iter_parent_pmds(mm)):
-                    entry = pmd.entries[pmd_index]
-                    if not is_present(entry):
-                        continue
-                    if is_huge(entry):
-                        classic_copy_slot(kernel, mm, child_mm, state, pmd,
-                                          pmd_index, slot_start)
-                    else:
-                        ptl = sched.pt_lock(int(entry_pfn(entry)))
-                        yield Acquire(ptl)
-                        classic_copy_slot(kernel, mm, child_mm, state, pmd,
-                                          pmd_index, slot_start)
-                        yield Release(ptl)
-                    yield Preempt("fork.slot")
-            finally:
-                sched.phase_exit()
-            finish_classic_copy(kernel, mm, child_mm, state)
+                    ptl = None
+                yield Preempt(tag)
+            elif key is not None:
+                ptl = sched.pt_lock(key)
+                yield Acquire(ptl)
+    except OutOfMemoryError:
+        if ptl is not None:
+            yield Release(ptl)
+        kernel._abort_fork(task, child_task)
+        raise
     finally:
+        if not use_odf:
+            sched.phase_exit()
         yield Release(mmap)
     elapsed = sched.now_ns() - t_start
     task.last_fork_ns = elapsed
-    return {"child": Process(machine, child_task), "elapsed_ns": elapsed}
+    return {"child": Process(process.machine, child_task),
+            "elapsed_ns": elapsed}
 
 
 def access_flow(sched, process, vaddr, n_bytes=1, is_write=True):

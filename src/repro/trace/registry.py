@@ -52,7 +52,9 @@ EVENTS = {spec.name: spec for spec in (
           ("leaf_tables", "huge_entries", "upper_tables")),
     # ---- odfork (the paper's share path) -------------------------------
     _spec("odfork.share_table", KIND_INSTANT,
-          "odfork shared the leaf tables under one PMD table (1 GiB)",
+          "odfork shared leaf tables under one PMD table (1 GiB): every "
+          "present slot in the syscall, one slot per event under SMP; "
+          "table_base is the PMD table's base address either way",
           ("table_base", "n_shared", "n_huge")),
     _spec("odfork.share_done", KIND_INSTANT,
           "odfork epilogue: share totals and the write-protect shootdown",

@@ -140,6 +140,13 @@ def audit_machine(machine):
     if unregistered:
         errors.append(f"reachable table frames not registered: "
                       f"{sorted(unregistered)[:8]}")
+    # Every kernel table lives in a packed EntryStore row: the fork, exit
+    # and odfork sweeps gather rows and have no store-less fallback.
+    rowless = sorted(pfn for pfn, table in kernel._tables.items()
+                     if table.row < 0)
+    if rowless:
+        errors.append(f"registered tables without a packed row: "
+                      f"{rowless[:8]}")
 
     if kernel.swap is not None:
         errors += _audit_swap(kernel, seen_leaf_tables)
