@@ -17,12 +17,17 @@ decision tree mirrors §3.4 of the paper:
 
 Huge (2 MiB) mappings fault at the PMD level: demand allocation of a
 compound page and whole-page COW, which is what makes huge-page COW faults
-~16x slower than On-demand-fork's worst case in Table 1.
+~16x slower than On-demand-fork's worst case in Table 1.  hugetlb and THP
+entries share one COW/reuse body.
+
+Every access that faults goes through :func:`fault_walk`, the one fault
+loop: ``Kernel._translate_for_access`` drains it, and the SMP access flow
+drives it under the split page-table locks.
 """
 
 from __future__ import annotations
 
-from ..errors import BusError, OutOfMemoryError, SegmentationFault
+from ..errors import BusError, KernelBug, OutOfMemoryError, SegmentationFault
 from ..mem.page import (
     HUGE_PAGE_ORDER,
     HUGE_PAGE_SIZE,
@@ -45,6 +50,8 @@ from ..paging.entries import (
 import numpy as np
 
 from ..paging.table import LEVEL_PTE, level_base, table_index
+from ..paging.walk import MMUFault
+from .fork import fault_lock_key
 from .rmap import rmap_add, rmap_remove
 from .tableops import copy_shared_pte_table, free_anon_frames, unshare_sole_owner
 from ..sancheck.annotations import acquires, must_hold
@@ -104,6 +111,47 @@ def swap_in_entry(kernel, mm, vma, leaf, pte_index, is_write):
     return pfn
 
 
+#: Yielded by :func:`fault_walk` each time a walk faults, before the
+#: fault's split-lock key; the SMP access flow preempts there.
+FAULT_ENTRY = "fault-entry"
+#: Yielded by :func:`fault_walk` after each fault; the lock taken for the
+#: key goes before the next walk.
+FAULT_DONE = "fault-done"
+
+
+@must_hold("mmap_lock", "ptl")
+def fault_walk(kernel, task, vaddr, is_write):
+    """The fault loop of one access, entered once its walk has faulted.
+
+    For each fault it yields :data:`FAULT_ENTRY`, then the fault's
+    split-lock key (:func:`~repro.kernel.fork.fault_lock_key`), then
+    :data:`FAULT_DONE`; the caller holds the key's lock between the key
+    and ``FAULT_DONE``.  Two values the caller sends steer the locking:
+    resumed after ``FAULT_ENTRY`` with a false value (the syscall path,
+    with no other CPU to lock out) it yields ``None`` instead of reading
+    the key; resumed after the key with a true value (the caller queued
+    for that lock, so other CPUs ran) it reads the key again and skips
+    the handler when the table changed meanwhile (the re-check Linux
+    does after ``pte_offset_map_lock``).  After each ``FAULT_DONE`` it
+    walks again and returns the pfn once a walk succeeds.
+    ``Kernel._translate_for_access`` drains it; the SMP access flow takes
+    the locks and lets other vCPUs run at each entry.
+    """
+    mm = task.mm
+    for _attempt in range(8):
+        locking = yield FAULT_ENTRY
+        key = fault_lock_key(mm, vaddr) if locking else None
+        waited = yield key
+        if not waited or fault_lock_key(mm, vaddr) == key:
+            kernel.fault_handler.handle(task, vaddr, is_write)
+        yield FAULT_DONE
+        try:
+            return kernel.fill_tlb(mm, kernel.active_tlb(mm), vaddr, is_write)
+        except MMUFault:
+            pass
+    raise KernelBug(f"fault loop did not converge at {vaddr:#x}")
+
+
 class FaultHandler:
     """Resolves MMU faults for every task on the machine."""
 
@@ -156,8 +204,8 @@ class FaultHandler:
         if is_present(pmd_entry):
             if is_huge(pmd_entry):
                 # A THP-promoted region: handle at PMD granularity.
-                self._huge_entry_fault(mm, vma, pmd_table, pmd_index,
-                                       vaddr, is_write)
+                self._huge_entry_fault(mm, pmd_table, pmd_index, vaddr,
+                                       is_write)
                 return
             leaf = mm.resolve(int(entry_pfn(pmd_entry)))
             # KCSAN watchpoint on the leaf table, keyed by the pfn the
@@ -333,15 +381,21 @@ class FaultHandler:
                               reuse=False)
 
     @must_hold("mmap_lock", "ptl")
-    def _huge_entry_fault(self, mm, vma, pmd_table, pmd_index, vaddr,
-                          is_write):
-        """Fault on a present THP entry: COW/reuse at 2 MiB granularity."""
+    def _huge_entry_fault(self, mm, pmd_table, pmd_index, vaddr, is_write):
+        """Fault on a present 2 MiB entry, hugetlb or THP: whole-page COW,
+        reuse in place, or a spurious fault.
+
+        Reuse needs no VMA check: a THP entry only ever sits in a private
+        anonymous VMA (khugepaged collapses nothing else, and fork and
+        VMA splits keep the flags), which ``audit_machine`` verifies.
+        """
         kernel = self.kernel
         entry = pmd_table.entries[pmd_index]
         if is_write and not is_writable(entry):
             head = int(entry_pfn(entry))
-            if kernel.pages.get_ref(head) == 1 and vma.needs_cow:
+            if kernel.pages.get_ref(head) == 1:
                 pmd_table.entries[pmd_index] = entry | BIT_RW | BIT_DIRTY
+                kernel.note_table_write(pmd_table)
                 kernel.stats.cow_reuse += 1
                 kernel.cost.charge_fault_spurious()
                 if points.enabled:
@@ -386,6 +440,8 @@ class FaultHandler:
 
     @must_hold("mmap_lock", "ptl")
     def _handle_huge(self, mm, vma, vaddr, is_write):
+        """hugetlb: demand-allocate an absent 2 MiB page; a present one
+        faults like a THP entry."""
         kernel = self.kernel
         pmd_table, pmd_index = mm.walk_to_pmd(vaddr, alloc=True)
         entry = pmd_table.entries[pmd_index]
@@ -410,47 +466,7 @@ class FaultHandler:
 
         if not is_huge(entry):
             raise SegmentationFault(vaddr, is_write, "4k entry in hugetlb VMA")
-
-        if is_write and not is_writable(entry):
-            head = int(entry_pfn(entry))
-            if kernel.pages.get_ref(head) == 1:
-                pmd_table.entries[pmd_index] = entry | BIT_RW | BIT_DIRTY
-                kernel.stats.cow_reuse += 1
-                kernel.cost.charge_fault_spurious()
-                if points.enabled:
-                    points.tracepoint("fault.huge", vaddr=vaddr, cow=True,
-                                      reuse=True)
-                return
-            kernel.failpoints.hit("fault.huge_cow")
-            new_head = kernel.alloc_huge_frame(mm)
-            kernel.pages.on_alloc_compound(new_head, HUGE_PAGE_ORDER, PG_ANON | PG_DIRTY)
-            for sub in range(1 << HUGE_PAGE_ORDER):
-                if kernel.phys.is_materialized(head + sub):
-                    kernel.phys.copy_frame(head + sub, new_head + sub)
-            kernel.cost.charge_page_alloc()
-            kernel.cost.charge_bulk_copy(HUGE_PAGE_SIZE)
-            kernel.charge_numa_copy(head, 1 << HUGE_PAGE_ORDER)
-            if kernel.pages.ref_dec(head) == 0:
-                kernel.free_huge_frame(head)
-            pmd_table.set(pmd_index, make_entry(
-                new_head, writable=True, user=True, huge=True,
-                dirty=True, accessed=True,
-            ))
-            kernel.note_table_write(pmd_table)
-            slot_start = level_base(vaddr, 2)
-            kernel.tlbs.shootdown_mm(mm, slot_start,
-                                     slot_start + HUGE_PAGE_SIZE,
-                                     charge=False)
-            kernel.stats.huge_cow_faults += 1
-            if points.enabled:
-                points.tracepoint("fault.huge", vaddr=vaddr, cow=True,
-                                  reuse=False)
-            return
-
-        kernel.stats.spurious_faults += 1
-        kernel.cost.charge_fault_spurious()
-        if points.enabled:
-            points.tracepoint("fault.spurious", vaddr=vaddr)
+        self._huge_entry_fault(mm, pmd_table, pmd_index, vaddr, is_write)
 
 
 def _round_up(value, granule):

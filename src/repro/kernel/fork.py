@@ -80,6 +80,24 @@ def slot_lock_key(entry):
     return None if is_huge(entry) else int(entry_pfn(entry))
 
 
+def fault_lock_key(mm, vaddr):
+    """The split-lock key guarding a fault at ``vaddr``.
+
+    The leaf table's pfn when one exists (Linux keeps the PTL in the leaf
+    table's struct page); the PMD table's pfn for an absent or huge slot;
+    ``None`` when no PMD table covers the address yet (nothing allocated
+    to contend on).
+    """
+    walked = mm.walk_to_pmd(vaddr, alloc=False)
+    if walked is None:
+        return None
+    pmd_table, pmd_index = walked
+    entry = pmd_table.entries[pmd_index]
+    if is_present(entry) and not is_huge(entry):
+        return slot_lock_key(entry)
+    return int(pmd_table.pfn)
+
+
 class ChildTreeBuilder:
     """Creates the child's upper paging levels lazily during a fork walk."""
 

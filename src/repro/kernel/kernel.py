@@ -35,7 +35,7 @@ from ..paging.table import page_align_up, page_offset
 from ..paging.walk import MMUFault, Walker
 from ..trace import points
 from .failpoints import FailPoints
-from .fault import FaultHandler
+from .fault import FaultHandler, fault_walk
 from .filesystem import SimFS
 from .fastpath import fast_copy_mm_classic
 from .fork import copy_mm_classic
@@ -392,21 +392,35 @@ class Kernel:
             self.stats.oom_reclaims += 1
         return freed
 
+    def _alloc_reclaiming(self, n_reclaim, message, alloc, *args):
+        """``alloc(*args)``, retried once after direct reclaim.
+
+        Every frame allocation ends in this sequence once its caller has
+        woken kswapd and picked the placement: try, on failure reclaim
+        ``n_reclaim`` frames and try again with the same placement, then
+        raise ``OutOfMemoryError(message)``, where ``{free}`` is the
+        free-frame count at that point.  A retry after a partial reclaim
+        can still fail; it surfaces as that OOM, never as a raw allocator
+        error.
+        """
+        try:
+            return alloc(*args)
+        except OutOfFramesError:
+            if self._emergency_reclaim(n_reclaim):
+                try:
+                    return alloc(*args)
+                except OutOfFramesError:
+                    pass
+            raise OutOfMemoryError(
+                message.format(free=self.allocator.free_frames)) from None
+
     def alloc_data_frame(self, mm):
         """One frame for user data, reclaiming under pressure."""
         self._maybe_wake_kswapd()
         node, strict = self._alloc_node(mm)
-        try:
-            return int(self._alloc_one(0, node, strict))
-        except OutOfFramesError:
-            if self._emergency_reclaim(64):
-                try:
-                    return int(self._alloc_one(0, node, strict))
-                except OutOfFramesError:
-                    pass
-            raise OutOfMemoryError(
-                f"out of memory: {self.allocator.free_frames} frames free"
-            ) from None
+        return int(self._alloc_reclaiming(
+            64, "out of memory: {free} frames free",
+            self._alloc_one, 0, node, strict))
 
     def alloc_data_frames_bulk(self, mm, n):
         """Bulk frame allocation with reclaim-on-pressure."""
@@ -420,18 +434,9 @@ class Kernel:
                 node, interleave = self.current_node(), False
             else:
                 node, _, interleave = policy.pick_bulk(mm, self.current_node())
-        try:
-            return self._alloc_bulk(n, node, interleave)
-        except OutOfFramesError:
-            if self._emergency_reclaim(n):
-                # The retry can still fail after a *partial* reclaim; it
-                # must surface as the OOM message path below, not as a raw
-                # allocator error.
-                try:
-                    return self._alloc_bulk(n, node, interleave)
-                except OutOfFramesError:
-                    pass
-            raise OutOfMemoryError(f"out of memory allocating {n} frames") from None
+        return self._alloc_reclaiming(
+            n, f"out of memory allocating {n} frames",
+            self._alloc_bulk, n, node, interleave)
 
     def _alloc_bulk(self, n, node, interleave):
         if self.numa is None:
@@ -442,15 +447,9 @@ class Kernel:
         """One 2 MiB compound block with reclaim-on-pressure."""
         self._maybe_wake_kswapd(1 << HUGE_PAGE_ORDER)
         node, strict = self._alloc_node(mm)
-        try:
-            return int(self._alloc_one(HUGE_PAGE_ORDER, node, strict))
-        except OutOfFramesError:
-            if self._emergency_reclaim(1 << HUGE_PAGE_ORDER):
-                try:
-                    return int(self._alloc_one(HUGE_PAGE_ORDER, node, strict))
-                except OutOfFramesError:
-                    pass
-            raise OutOfMemoryError("out of memory allocating a huge page") from None
+        return int(self._alloc_reclaiming(
+            1 << HUGE_PAGE_ORDER, "out of memory allocating a huge page",
+            self._alloc_one, HUGE_PAGE_ORDER, node, strict))
 
     def alloc_table_frame(self):
         """One frame for a page-table node, reclaiming under pressure.
@@ -461,15 +460,9 @@ class Kernel:
         """
         self._maybe_wake_kswapd()
         node = self.current_node() if self.numa is not None else None
-        try:
-            return int(self._alloc_one(0, node))
-        except OutOfFramesError:
-            if self._emergency_reclaim(64):
-                try:
-                    return int(self._alloc_one(0, node))
-                except OutOfFramesError:
-                    pass
-            raise OutOfMemoryError("out of memory allocating a page table") from None
+        return int(self._alloc_reclaiming(
+            64, "out of memory allocating a page table",
+            self._alloc_one, 0, node))
 
     @charge_deferred("compound teardown is priced by the zap/exit cost "
                      "models at the call site")
@@ -719,13 +712,9 @@ class Kernel:
                 raise InvalidArgumentError("munmap range misaligned for mapping")
         # Split edge VMAs so the range covers whole VMAs, then zap while the
         # VMA geometry still describes the pages (table COW needs it).
-        for vma in list(mm.vmas.overlapping(addr, end)):
-            if vma.start < addr < vma.end:
-                vma = mm.split_vma(vma, addr)[1]
-            if vma.start < end < vma.end:
-                mm.split_vma(vma, end)
+        inside = mm.split_range(addr, end)
         zap_range(self, mm, addr, end)
-        for vma in list(mm.vmas.overlapping(addr, end)):
+        for vma in inside:
             mm.remove_vma(vma)
 
     @acquires("mmap_lock")
@@ -747,11 +736,7 @@ class Kernel:
         pieces = mm.vmas.overlapping(addr, end)
         if not pieces:
             raise InvalidArgumentError("mprotect over unmapped range")
-        for vma in list(mm.vmas.overlapping(addr, end)):
-            if vma.start < addr < vma.end:
-                vma = mm.split_vma(vma, addr)[1]
-            if vma.start < end < vma.end:
-                vma = mm.split_vma(vma, end)[0]
+        for vma in mm.split_range(addr, end):
             losing_write = vma.writable and not prot & PROT_WRITE
             vma.prot = prot
             if losing_write:
@@ -943,11 +928,7 @@ class Kernel:
             zap_range(self, mm, addr, end)
             return
         if advice in (MADV_HUGEPAGE, MADV_NOHUGEPAGE):
-            for vma in list(mm.vmas.overlapping(addr, end)):
-                if vma.start < addr < vma.end:
-                    vma = mm.split_vma(vma, addr)[1]
-                if vma.start < end < vma.end:
-                    vma = mm.split_vma(vma, end)[0]
+            for vma in mm.split_range(addr, end):
                 vma.thp_enabled = advice == MADV_HUGEPAGE
                 vma.thp_disabled = advice == MADV_NOHUGEPAGE
             return
@@ -1080,23 +1061,44 @@ class Kernel:
             return smp.current.vcpu.tlb_for(mm)
         return mm.tlb
 
-    @acquires("mmap_lock")
-    def _translate_for_access(self, task, addr, is_write):
+    def translate_access(self, task, addr, is_write):
+        """The hardware half of one access: the executing CPU's TLB, then
+        a walk that fills it.  The pfn, or ``None`` when the walk faults
+        (:func:`~repro.kernel.fault.fault_walk` takes over from there)."""
         mm = task.mm
         tlb = self.active_tlb(mm)
         hit = tlb.lookup(addr, is_write)
         if hit is not None:
             return hit.pfn
-        for _ in range(4):
+        try:
+            return self.fill_tlb(mm, tlb, addr, is_write)
+        except MMUFault:
+            return None
+
+    def fill_tlb(self, mm, tlb, addr, is_write):
+        """Walk ``addr`` and cache the translation in ``tlb``; the pfn.
+
+        Raises ``MMUFault`` when the walk faults.  On a NUMA machine the
+        walk and the data access are distance-weighted.
+        """
+        tr = self.walker.translate(mm.pgd, addr, is_write)
+        tlb.insert(addr, tr.pfn, tr.writable, tr.huge)
+        if self.numa is not None:
+            self._charge_numa_walk(mm, tr.pfn)
+        return tr.pfn
+
+    @acquires("mmap_lock", "ptl")
+    def _translate_for_access(self, task, addr, is_write):
+        pfn = self.translate_access(task, addr, is_write)
+        if pfn is not None:
+            return pfn
+        # No other CPU to lock out: run the fault loop straight through.
+        walk = fault_walk(self, task, addr, is_write)
+        while True:
             try:
-                tr = self.walker.translate(mm.pgd, addr, is_write)
-                tlb.insert(addr, tr.pfn, tr.writable, tr.huge)
-                if self.numa is not None:
-                    self._charge_numa_walk(mm, tr.pfn)
-                return tr.pfn
-            except MMUFault:
-                self.fault_handler.handle(task, addr, is_write)
-        raise KernelBug(f"fault loop did not converge at {addr:#x}")
+                next(walk)
+            except StopIteration as done:
+                return done.value
 
     def mem_write(self, task, addr, data):
         """Store bytes into the task's address space (may fault/COW)."""

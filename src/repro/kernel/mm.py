@@ -244,6 +244,18 @@ class MMStruct:
         self.vmas.insert(right)
         return left, right
 
+    def split_range(self, start, end):
+        """Split the VMAs straddling ``start`` or ``end`` so the range
+        covers whole VMAs; returns the VMAs inside it, in address order."""
+        inside = []
+        for vma in list(self.vmas.overlapping(start, end)):
+            if vma.start < start < vma.end:
+                vma = self.split_vma(vma, start)[1]
+            if vma.start < end < vma.end:
+                vma = self.split_vma(vma, end)[0]
+            inside.append(vma)
+        return inside
+
     def vma_ranges_in_slot(self, slot_start, slot_end):
         """``(lo, hi, vma)`` pieces of VMAs inside a PMD slot.
 
@@ -255,20 +267,6 @@ class MMStruct:
         for vma in self.vmas.overlapping(slot_start, slot_end):
             pieces.append((max(vma.start, slot_start), min(vma.end, slot_end), vma))
         return pieces
-
-    def has_other_mapping_in_slot(self, slot_start, slot_end, zap_start, zap_end):
-        """Does any mapping in the slot survive outside the zapped range?
-
-        This is the §3.3 condition: a shared PTE table can be dropped with
-        a bare refcount decrement only if nothing else of this process
-        lives under it; otherwise the table must be copied first.
-        """
-        for vma in self.vmas.overlapping(slot_start, slot_end):
-            lo = max(vma.start, slot_start)
-            hi = min(vma.end, slot_end)
-            if lo < zap_start or hi > zap_end:
-                return True
-        return False
 
     # ---- counters -----------------------------------------------------------
 

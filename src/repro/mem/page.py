@@ -104,10 +104,6 @@ class PageStructArray:
         """Current page refcount."""
         return int(self.refcount[pfn])
 
-    def set_ref(self, pfn, value):
-        """Force a page refcount (tests/bootstrap only)."""
-        self.refcount[pfn] = value
-
     def ref_inc(self, pfn):
         """Increment one page's refcount; returns the new value."""
         self.refcount[pfn] += 1
@@ -172,14 +168,6 @@ class PageStructArray:
         # Duplicated pfns in the input can appear once per duplicate; a
         # unique pass keeps the free list clean.
         return np.unique(zeroed) if len(zeroed) else zeroed
-
-    def set_flags_bulk(self, pfns, flag_bits):
-        """OR flag bits into many frames at once."""
-        self.flags[pfns] |= np.uint16(flag_bits)
-
-    def clear_flags_bulk(self, pfns, flag_bits):
-        """Clear flag bits from many frames at once."""
-        self.flags[pfns] &= ~np.uint16(flag_bits)
 
     # ---- lifecycle -------------------------------------------------------
 

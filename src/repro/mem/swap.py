@@ -54,10 +54,6 @@ class SwapDevice:
     def used_slots(self):
         return self.n_slots - len(self._free)
 
-    @property
-    def free_slots(self):
-        return len(self._free)
-
     def alloc_slot(self):
         """Take a free slot, or ``None`` when the device is full."""
         if not self._free:

@@ -70,11 +70,6 @@ class EntryStore:
         chunk, index = divmod(row, CHUNK_ROWS)
         return self.chunks[chunk][index]
 
-    @property
-    def live_rows(self):
-        """Rows currently handed out (diagnostics)."""
-        return self._next_fresh - len(self._free)
-
     # ---- bulk access ----------------------------------------------------
 
     def gather(self, rows):

@@ -16,12 +16,11 @@ explorer's schedules enumerate exactly these boundaries.
 from __future__ import annotations
 
 from ..core.process import Process
-from ..errors import KernelBug, OutOfMemoryError
+from ..errors import OutOfMemoryError
+from ..kernel.fault import fault_walk
 from ..kernel.fork import SLOT_DONE, classic_copy_walk
 from ..kernel.odfork import odf_share_walk
 from ..mem.page import PAGE_SIZE
-from ..paging.entries import entry_pfn, is_huge, is_present
-from ..paging.walk import MMUFault
 from .locks import MODE_READ, MODE_WRITE
 from .sched import Acquire, Preempt, Release
 
@@ -31,24 +30,6 @@ from .sched import Acquire, Preempt, Release
 #: the KCSAN sampler and the static lock-context rule both exist to catch.
 #: Never enable outside a test.
 FAULT_INJECT_SKIP_PTL = False
-
-
-def _ptl_key(mm, vaddr):
-    """The split-lock key guarding ``vaddr``'s last-level translation.
-
-    The leaf table's pfn when one exists (Linux keeps the PTL in the leaf
-    table's struct page); the PMD table's pfn for absent or huge slots;
-    ``None`` when no PMD table covers the address yet (nothing allocated
-    to contend on — the fault runs atomically anyway).
-    """
-    walked = mm.walk_to_pmd(vaddr, alloc=False)
-    if walked is None:
-        return None
-    pmd_table, pmd_index = walked
-    entry = pmd_table.entries[pmd_index]
-    if is_present(entry) and not is_huge(entry):
-        return int(entry_pfn(entry))
-    return int(pmd_table.pfn)
 
 
 def fork_flow(sched, process, use_odf=False, child_name=None):
@@ -111,57 +92,38 @@ def fork_flow(sched, process, use_odf=False, child_name=None):
 def access_flow(sched, process, vaddr, n_bytes=1, is_write=True):
     """Touch ``[vaddr, vaddr + n_bytes)`` the way user code would.
 
-    Per page: TLB lookup on the current vCPU, then the hardware-walk /
-    fault loop.  The fault handler runs under ``mmap_lock`` (read) and
-    the page-table lock covering the address, with a revalidation after
-    the PTL acquire (the table may have been COW-replaced while we
-    queued — the same re-check Linux does after ``pte_offset_map_lock``).
+    Per page, under ``mmap_lock`` (read): the kernel's TLB lookup and
+    walk (``Kernel.translate_access``) and, when the walk faults, the
+    kernel's own fault loop (``fault_walk``).  The flow adds only the
+    locking: a preemption point at each fault entry, the split PTL of
+    each key the loop yields (it re-checks the key itself after the
+    wait), and the contention-phase bracket around the handler.
     """
     kernel = process.kernel
     task = process.task
-    mm = task.mm
-    mmap = sched.mmap_lock(mm)
+    mmap = sched.mmap_lock(task.mm)
     first = vaddr & ~(PAGE_SIZE - 1)
     last = vaddr + max(1, n_bytes) - 1
     for page in range(first, last + 1, PAGE_SIZE):
         yield Acquire(mmap, MODE_READ)
-        for _attempt in range(8):
-            tlb = kernel.active_tlb(mm)
-            if tlb.lookup(page, is_write) is not None:
-                break
-            try:
-                tr = kernel.walker.translate(mm.pgd, page, is_write)
-            except MMUFault:
+        if kernel.translate_access(task, page, is_write) is None:
+            faults = fault_walk(kernel, task, page, is_write)
+            for _entry in faults:  # FAULT_ENTRY, once per fault
                 yield Preempt("fault.entry")
-                key = _ptl_key(mm, page)
-                if key is None:
-                    sched.phase_enter()
-                    try:
-                        kernel.fault_handler.handle(task, page, is_write)
-                    finally:
-                        sched.phase_exit()
-                    continue
-                ptl = sched.pt_lock(key)
-                if not FAULT_INJECT_SKIP_PTL:
+                key = faults.send(not FAULT_INJECT_SKIP_PTL)
+                ptl = None
+                if key is not None:
+                    ptl = sched.pt_lock(key)
                     yield Acquire(ptl)
-                    if _ptl_key(mm, page) != key:
-                        # The table was replaced while we queued; retry
-                        # with the lock that now covers the address.
-                        yield Release(ptl)
-                        continue
                 sched.phase_enter()
                 try:
-                    kernel.fault_handler.handle(task, page, is_write)
+                    # The handler runs, after a re-check when we queued;
+                    # FAULT_DONE comes back.
+                    faults.send(ptl is not None)
                 finally:
                     sched.phase_exit()
-                if not FAULT_INJECT_SKIP_PTL:
+                if ptl is not None:
                     yield Release(ptl)
-                continue
-            else:
-                tlb.insert(page, tr.pfn, tr.writable, tr.huge)
-                break
-        else:
-            raise KernelBug(f"SMP fault loop did not converge at {page:#x}")
         yield Release(mmap)
 
 
@@ -170,15 +132,6 @@ def write_flow(sched, process, addr, data):
     yield from access_flow(sched, process, addr, len(data), is_write=True)
     # Permissions are resolved; the store itself hits the warmed TLB.
     process.write(addr, data)
-
-
-def read_flow(sched, process, addr, length, sink=None):
-    """Fault in a range for read, then load it; bytes land in ``sink``."""
-    yield from access_flow(sched, process, addr, length, is_write=False)
-    data = process.read(addr, length)
-    if sink is not None:
-        sink.append(data)
-    return data
 
 
 def kswapd_flow(sched, machine, target_frames=8, max_attempts=None):

@@ -200,11 +200,6 @@ class CostParams:
             + self.pte_copy_other
         )
 
-    @property
-    def pte_copy_contended_part(self):
-        """The struct-page cacheline portion that degrades under contention."""
-        return self.pte_copy_compound_head + self.pte_copy_page_ref_inc
-
 
 @dataclass
 class CostModel:

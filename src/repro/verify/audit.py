@@ -26,7 +26,7 @@ from ..paging import (
     swap_entry_slot,
     swap_mask,
 )
-from ..paging.table import LEVEL_PMD, LEVEL_PTE
+from ..paging.table import LEVEL_PGD, LEVEL_PMD, LEVEL_PTE, LEVEL_PUD, LEVEL_SPAN
 
 
 def audit_machine(machine):
@@ -45,7 +45,7 @@ def audit_machine(machine):
         if not t.mm.dead and id(t.mm) not in seen_mm_ids:
             seen_mm_ids.add(id(t.mm))
             live_mms.append(t.mm)
-    rss_errors = []
+    errors = []
     for mm in live_mms:
         n_huge = 0
         leaves = []
@@ -59,13 +59,23 @@ def audit_machine(machine):
                     if is_huge(entry):
                         expected_page_refs[int(entry_pfn(entry))] += 1
                         n_huge += 1
+                        # The huge-PMD fault reuses a sole-owned page with
+                        # no VMA check: THP must never map a shared VMA.
+                        slot_start = (pud_index * LEVEL_SPAN[LEVEL_PGD]
+                                      + pmd_index * LEVEL_SPAN[LEVEL_PUD]
+                                      + slot * LEVEL_SPAN[LEVEL_PMD])
+                        vma = mm.vmas.find(slot_start)
+                        if vma is not None and not (vma.is_hugetlb
+                                                    or vma.is_private):
+                            errors.append(f"THP entry at {slot_start:#x} in "
+                                          f"a shared VMA")
                         continue
                     leaf_pfn = int(entry_pfn(entry))
                     expected_pt_refs[leaf_pfn] += 1
                     leaf = mm.resolve(leaf_pfn)
                     seen_leaf_tables[leaf_pfn] = leaf
                     leaves.append(leaf)
-        rss_errors += _audit_rss(pages, mm, leaves, n_huge)
+        errors += _audit_rss(pages, mm, leaves, n_huge)
 
     # Each leaf table *object* owns one reference per present data page.
     for leaf in seen_leaf_tables.values():
@@ -87,7 +97,6 @@ def audit_machine(machine):
         for _slot, pfn in kernel.swap_cache.items():
             expected_page_refs[pfn] += 1
 
-    errors = rss_errors
     for leaf_pfn, count in expected_pt_refs.items():
         actual = pages.pt_ref(leaf_pfn)
         if actual != count:

@@ -88,6 +88,25 @@ class TestLifecycle:
         assert machine.kernel.stats.replica_syncs > syncs_before
         assert machine.clock.now_ns > clock_before
 
+    def test_huge_reuse_write_charges_coherence(self):
+        """A hugetlb write that reuses the page in place sets RW on a
+        replicated PMD entry, so it pays the fan-out like the 4 KiB
+        reuse does."""
+        machine = replicated_machine()
+        p = machine.spawn_process("r")
+        huge = p.mmap_huge(2 * MIB)
+        p.write(huge, b"first")
+        child = p.fork()
+        child.exit()
+        p.wait()
+        stats = machine.kernel.stats
+        reuse_before = stats.cow_reuse
+        syncs_before = stats.replica_syncs
+        p.write(huge, b"again")
+        assert stats.cow_reuse == reuse_before + 1
+        assert stats.replica_syncs > syncs_before
+        audit_machine(machine)
+
     def test_replication_off_means_no_mitosis_state(self):
         machine = Machine(phys_mb=64, numa=NumaTopology(nodes=2))
         assert machine.kernel.mitosis is None

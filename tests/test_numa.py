@@ -259,6 +259,31 @@ class TestDistanceCharging:
         assert remote > local
         assert machine.kernel.stats.numa_remote_accesses >= pages
 
+    def test_smp_access_flow_charges_like_mem_touch(self):
+        """Reads of node-1 pages from a node-0 CPU pay one remote access
+        per page whether the SMP access flow or ``mem_touch`` makes them:
+        both go through the kernel's one translate/fault loop."""
+        from repro.smp import ops
+        n_pages = 64
+        remote = {}
+        for label in ("smp", "mem_touch"):
+            machine = Machine(phys_mb=128, smp=2, numa=NumaTopology(nodes=2))
+            p = machine.spawn_process("p")
+            buf = p.mmap(n_pages * PAGE_SIZE)
+            with machine.kernel.pin_to_node(1):
+                p.touch_range(buf, n_pages * PAGE_SIZE, write=True)
+            machine.kernel.active_tlb(p.mm).flush_all()
+            before = machine.kernel.stats.numa_remote_accesses
+            if label == "smp":
+                machine.smp.spawn("read", ops.access_flow(
+                    machine.smp, p, buf, n_pages * PAGE_SIZE, is_write=False),
+                    mm=p.mm, vcpu=0)
+                machine.smp.run()
+            else:
+                p.touch(buf, n_pages * PAGE_SIZE)
+            remote[label] = machine.kernel.stats.numa_remote_accesses - before
+        assert remote == {"smp": n_pages, "mem_touch": n_pages}
+
     def test_flat_machine_charges_no_numa_penalty(self):
         machine = Machine(phys_mb=64)
         p = machine.spawn_process("flat")

@@ -97,6 +97,58 @@ def fork_both_ways(layout, use_odf):
     return out
 
 
+def odfork_anon_writes(machine):
+    """An odfork'd 4 MiB region.  The child's write copies the shared
+    table and the page; the parent's then flips its write-protected PMD
+    entry back (sole owner) and copies the page.  The write straddles a
+    page boundary, so each side faults twice."""
+    p = machine.spawn_process("p")
+    buf = p.mmap(4 * MIB)
+    p.touch_range(buf, 4 * MIB, write=True)
+    p.write(buf, b"parent-before")
+    child = p.odfork()
+    at = buf + 2 * 4096 - 4
+    return ([(child, at, b"child-wrote"), (p, at, b"parent-wrote")],
+            [(child, buf, 4 * MIB), (p, buf, 4 * MIB)])
+
+
+def hugetlb_writes(machine):
+    """A hugetlb region shared by odfork: the child's write copies the
+    2 MiB page, the parent's then reuses the original in place."""
+    p = machine.spawn_process("p")
+    huge = p.mmap_huge(4 * MIB)
+    p.touch_range(huge, 4 * MIB, write=True)
+    child = p.odfork()
+    at = huge + 2 * MIB + 100
+    return ([(child, at, b"child-huge"), (p, at, b"parent-huge")],
+            [(child, huge, 4 * MIB), (p, huge, 4 * MIB)])
+
+
+def swapped_writes(machine):
+    """A forked region swapped out: each write swaps its page back in
+    (the second from the swap cache) before copying it."""
+    p = machine.spawn_process("p")
+    buf = p.mmap(1 * MIB)
+    p.touch_range(buf, 1 * MIB, write=True)
+    child = p.fork()
+    assert machine.kernel.reclaim.shrink(256, from_kswapd=False) > 0
+    at = buf + 5 * 4096 + 8
+    return ([(child, at, b"child-swap"), (p, at, b"parent-swap")],
+            [(child, buf, 1 * MIB), (p, buf, 1 * MIB)])
+
+
+WRITE_SCENARIOS = {
+    "odfork-anon": (odfork_anon_writes, {}),
+    "hugetlb": (hugetlb_writes, {}),
+    "swap-in": (swapped_writes, {"swap_mb": 64}),
+}
+
+FAULT_COUNTERS = ("page_faults", "spurious_faults", "demand_zero_faults",
+                  "cow_faults", "cow_reuse", "huge_faults", "huge_cow_faults",
+                  "table_cow_copies", "table_unshares", "pswpin",
+                  "swap_cache_hits")
+
+
 def assert_same_children(runs):
     """Both children hold the parent's bytes with identical accounting."""
     smp, _, smp_child, _ = runs["smp"]
@@ -293,6 +345,40 @@ class TestSmpFlows:
             assert child.read(buf, 10) == b"hello-fork"
         for machine, *_rest in runs.values():
             audit_machine(machine)
+
+    @pytest.mark.parametrize("scenario", sorted(WRITE_SCENARIOS))
+    def test_write_flow_matches_syscall_writes(self, scenario):
+        """``write_flow`` drives the kernel's own fault loop: the same
+        writes on one vCPU and through ``Process.write`` take the same
+        faults and leave the same RSS, tables, and bytes."""
+        setup, machine_kw = WRITE_SCENARIOS[scenario]
+        seen = {}
+        for label, smp in (("smp", 1), ("plain", None)):
+            machine = Machine(phys_mb=64, smp=smp, **machine_kw)
+            writes, regions = setup(machine)
+            before = machine.stats.snapshot()
+            for process, addr, data in writes:
+                if smp:
+                    machine.smp.spawn("write", ops.write_flow(
+                        machine.smp, process, addr, data), mm=process.mm)
+                    machine.smp.run()
+                else:
+                    process.write(addr, data)
+            after = machine.stats.snapshot()
+            seen[label] = (
+                {c: after[c] - before[c] for c in FAULT_COUNTERS},
+                [(p.mm.rss_anon_pages, p.mm.rss_file_pages,
+                  p.mm.nr_pte_tables) for p, _a, _n in regions],
+                [p.read(addr, length) for p, addr, length in regions])
+            if smp:
+                assert machine.smp.quiescence_errors() == []
+            audit_machine(machine)
+        assert seen["smp"] == seen["plain"]
+        faults, _rss, contents = seen["smp"]
+        assert faults["page_faults"] >= 2
+        for (_p, addr, data), (_q, base, _n), content in zip(
+                writes, regions, contents):
+            assert content[addr - base:addr - base + len(data)] == data
 
     @pytest.mark.parametrize("site,nth,use_odf", [
         ("fork.copy_slot", 2, False),

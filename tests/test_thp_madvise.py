@@ -96,6 +96,15 @@ class TestKhugepaged:
         child.exit()
         p.wait()
 
+    def test_shared_mappings_never_promoted(self, machine):
+        """THP only ever maps private anonymous memory, which is why the
+        huge-PMD fault can reuse a sole-owned page without a VMA check."""
+        p = machine.spawn_process("shm")
+        addr = p.mmap_shared(4 * MIB)
+        p.touch_range(addr, 4 * MIB, write=True)
+        p.madvise(addr, 4 * MIB, MADV_HUGEPAGE)
+        assert machine.run_khugepaged(p, policy="always") == 0
+
     def test_cow_shared_pages_not_promoted(self, machine):
         p, addr = thp_ready_process(machine)
         child = p.fork()  # pages now COW-shared, tables dedicated
@@ -139,6 +148,20 @@ class TestTHPLifecycle:
         assert child.read(addr, 6) == b"child!"
         assert machine.stats.huge_cow_faults >= 1
         child.exit(); p.wait()
+
+    def test_reuse_after_child_exit(self, machine):
+        """Once the fork child is gone the parent owns the 2 MiB page
+        again: its write flips the PMD entry writable in place."""
+        p, addr = thp_ready_process(machine, size=2 * MIB)
+        assert machine.run_khugepaged(p) == 1
+        child = p.fork()
+        child.exit(); p.wait()
+        reuse = machine.stats.cow_reuse
+        huge_cow = machine.stats.huge_cow_faults
+        p.write(addr, b"reused")
+        assert p.read(addr, 6) == b"reused"
+        assert machine.stats.cow_reuse == reuse + 1
+        assert machine.stats.huge_cow_faults == huge_cow
 
     def test_partial_unmap_splits(self, machine):
         p, addr = thp_ready_process(machine, size=2 * MIB)
