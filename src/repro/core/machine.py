@@ -13,6 +13,7 @@ import os
 
 from ..analysis.profiler import Profiler
 from ..errors import ConfigurationError
+from ..kernel.fastpath import FASTPATH_ENGAGED
 from ..kernel.kernel import Kernel
 from ..mem.buddy import BuddyAllocator
 from ..mem.page import PAGE_SIZE, PG_RESERVED, PageStructArray
@@ -149,6 +150,7 @@ class Machine:
         self.metrics.register("san", self._san_metrics)
         self.metrics.register("trace", self._trace_metrics)
         self.metrics.register("numa", self._numa_metrics)
+        self.metrics.register("fastpath", self._fastpath_metrics)
         # A machine built while a tracer is attached binds to it, so
         # multi-machine benchmarks stamp events against the machine
         # currently under construction/measurement.
@@ -291,6 +293,17 @@ class Machine:
         if tracer is None or self not in tracer.machines:
             return {}
         return tracer.counters()
+
+    def _fastpath_metrics(self):
+        """The ``fastpath`` namespace: analytic fast-path engagement.
+
+        Each ``*_engaged`` key is always present; a bail key appears once
+        its reason has occurred.  Not part of ``vm``: a fast and a
+        per-event machine differ here by design.
+        """
+        out = dict.fromkeys(FASTPATH_ENGAGED, 0)
+        out.update(self.kernel.fastpath_counts)
+        return out
 
     def _numa_metrics(self):
         """The ``numa`` namespace: zonelist + replication statistics."""

@@ -8,6 +8,11 @@ data-page COW, shared-table COW, write-notify — but whole PTE tables at a
 time with numpy, charging the same per-event costs the one-at-a-time path
 would.  Equivalence between the two paths is pinned down by property tests
 (``tests/test_bulk_vs_bytewise.py``).
+
+A first touch of fresh anonymous 4 KiB memory goes one step further: each
+run of absent PMD slots inside one PMD table is built in one batch
+(:func:`fast_fill_run`, an analytic fast path of
+:mod:`repro.kernel.fastpath`), with the per-slot code as its fallback.
 """
 
 from __future__ import annotations
@@ -15,7 +20,15 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import OutOfMemoryError, SegmentationFault
-from ..mem.page import HUGE_PAGE_ORDER, HUGE_PAGE_SIZE, PAGE_SIZE, PG_ANON, PG_DIRTY, PG_FILE
+from ..mem.page import (
+    HUGE_PAGE_ORDER,
+    HUGE_PAGE_SIZE,
+    PAGE_SIZE,
+    PG_ANON,
+    PG_DIRTY,
+    PG_FILE,
+    PTRS_PER_TABLE,
+)
 from ..paging.entries import (
     BIT_ACCESSED,
     BIT_DIRTY,
@@ -32,7 +45,23 @@ from ..paging.entries import (
     swap_mask,
     writable_mask,
 )
-from ..paging.table import LEVEL_PTE, page_align_down, page_align_up
+from ..paging.table import (
+    LEVEL_PMD,
+    LEVEL_PTE,
+    LEVEL_PUD,
+    PMD_REGION_SIZE,
+    TABLE_SPAN,
+    level_base,
+    page_align_down,
+    page_align_up,
+)
+from ..timing.costs import FN_PTE_ALLOC
+from .fastpath import (
+    _fork_headroom_ok,
+    count_bail,
+    count_refusal,
+    fast_path_ok,
+)
 from .fault import swap_in_entry
 from .rmap import rmap_add_bulk, rmap_remove_bulk
 from ..sancheck.annotations import acquires, must_hold
@@ -44,6 +73,10 @@ from .tableops import (
 )
 
 _BASE_BITS = BIT_PRESENT | BIT_USER | BIT_ACCESSED
+
+# charge_many id table for a fill run: per slot, the leaf table's
+# pte_alloc_one, then the slot's demand-zero fill.
+_FILL_FNS = [FN_PTE_ALLOC, "bulk_demand_zero"]
 
 
 def _entries_for(pfns, writable, dirty):
@@ -93,14 +126,27 @@ def access_range(kernel, task, start, length, is_write, charge_memcpy=True):
         "write_notify": 0, "huge_faults": 0, "huge_cow": 0,
         "swap_ins": 0,
     }
-    for pmd_table, pmd_index, slot_start, lo, hi in mm.pmd_slots(first, last, alloc=True):
-        for plo, phi, vma in mm.vma_ranges_in_slot(lo, hi):
-            if vma.is_hugetlb:
-                _access_huge_slot(kernel, mm, vma, pmd_table, pmd_index,
-                                  slot_start, is_write, events)
-            else:
-                _access_leaf_piece(kernel, mm, vma, pmd_table, pmd_index,
-                                   slot_start, plo, phi, is_write, events)
+    # One upper-level walk per PMD table: only a table's first slot can
+    # allocate (and charge) upper levels, and a fill run is batched
+    # between two walks, after those charges.
+    addr = first
+    while addr < last:
+        table_base = level_base(addr, LEVEL_PUD)
+        span_end = min(table_base + TABLE_SPAN[LEVEL_PMD], last)
+        pmd_table, _ = mm.walk_to_pmd(addr, alloc=True)
+        while addr < span_end:
+            vma, run_end = _absent_run(mm, pmd_table, table_base, addr,
+                                       span_end)
+            if vma is not None and fast_fill_run(
+                    kernel, mm, vma, pmd_table, table_base, addr, run_end,
+                    is_write, events):
+                addr = run_end
+                continue
+            # Per slot: this slot, or every slot of a run that bailed.
+            stop = run_end if vma is not None else addr + 1
+            while addr < stop:
+                addr = _access_slot(kernel, mm, pmd_table, table_base, addr,
+                                    span_end, is_write, events)
     # Bulk COW may have switched backing frames across the whole range;
     # purge it from every CPU caching this mm (no extra charge: matches
     # the per-fault flushes this batch replaces).
@@ -120,6 +166,133 @@ def populate_range(kernel, task, start, length):
     """MAP_POPULATE-style pre-fault of a fresh mapping (no memcpy charge)."""
     return access_range(kernel, task, start, length, is_write=False,
                         charge_memcpy=False)
+
+
+@must_hold("mmap_lock", "ptl")
+def _access_slot(kernel, mm, pmd_table, table_base, lo, span_end, is_write,
+                 events):
+    """The per-slot access of ``[lo, slot end)``; returns the slot end."""
+    pmd_index = (lo - table_base) // PMD_REGION_SIZE
+    slot_start = table_base + pmd_index * PMD_REGION_SIZE
+    hi = min(slot_start + PMD_REGION_SIZE, span_end)
+    for plo, phi, vma in mm.vma_ranges_in_slot(lo, hi):
+        if vma.is_hugetlb:
+            _access_huge_slot(kernel, mm, vma, pmd_table, pmd_index,
+                              slot_start, is_write, events)
+        else:
+            _access_leaf_piece(kernel, mm, vma, pmd_table, pmd_index,
+                               slot_start, plo, phi, is_write, events)
+    return hi
+
+
+def _absent_run(mm, pmd_table, table_base, lo, span_end):
+    """``(vma, end)`` of the batchable run starting at ``lo``, or
+    ``(None, 0)``.
+
+    A run is a maximal sequence of absent PMD slots whose parts of
+    ``[lo, span_end)`` all lie inside one anonymous, non-hugetlb VMA.
+    """
+    index = (lo - table_base) // PMD_REGION_SIZE
+    if is_present(pmd_table.entries[index]):
+        return None, 0
+    slot_end = table_base + (index + 1) * PMD_REGION_SIZE
+    vmas = mm.vmas.overlapping(lo, min(slot_end, span_end))
+    if len(vmas) != 1:
+        return None, 0
+    vma = vmas[0]
+    if vma.is_hugetlb or vma.is_file_backed:
+        return None, 0
+    end = span_end
+    if vma.end < span_end:
+        # The slot the VMA ends in (if it ends mid-slot) holds the next
+        # VMA's pages too, so it goes per slot.
+        end = level_base(vma.end, LEVEL_PMD)
+    n_slots = (end - table_base - 1) // PMD_REGION_SIZE + 1 - index
+    present = present_mask(pmd_table.entries[index:index + n_slots])
+    if present.any():
+        end = table_base + (index + int(present.argmax())) * PMD_REGION_SIZE
+    return vma, end
+
+
+@must_hold("mmap_lock", "ptl")
+def fast_fill_run(kernel, mm, vma, pmd_table, table_base, lo, hi, is_write,
+                  events):
+    """First touch of a run of absent slots, batched; True when engaged.
+
+    ``[lo, hi)`` is a run of ``vma`` found by :func:`_absent_run`.  Each
+    slot's allocator calls stay in the per-slot order (its table frame,
+    then its data frames), because that sequence is buddy state;
+    everything else is done once for the run: one scatter of the data
+    rows, one write of the PMD entries, the struct-page, RSS and rmap
+    updates, and one ``charge_many`` replaying each slot's table-alloc
+    and demand-zero charges.  Returning False means nothing was mutated
+    and the caller must run the per-slot path.
+    """
+    index = (lo - table_base) // PMD_REGION_SIZE
+    n_slots = (hi - table_base - 1) // PMD_REGION_SIZE + 1 - index
+    if not fast_path_ok(kernel):
+        count_refusal(kernel, "fill", n_slots)
+        return False
+    n_pages = (hi - lo) // PAGE_SIZE
+    # The slots' tables and data frames in one proof: no allocation of
+    # the run can wake kswapd or enter reclaim.
+    if not _fork_headroom_ok(kernel, n_slots + n_pages):
+        count_bail(kernel, "fill", "headroom", n_slots)
+        return False
+    first_page = (lo - table_base) // PAGE_SIZE - index * PTRS_PER_TABLE
+    end_page = (hi - table_base) // PAGE_SIZE - index * PTRS_PER_TABLE
+    counts = [PTRS_PER_TABLE] * n_slots
+    counts[0] -= first_page
+    counts[-1] -= n_slots * PTRS_PER_TABLE - end_page
+
+    # The buddy calls alloc_table_frame and alloc_data_frames_bulk end
+    # in: the headroom proof rules out their kswapd wake and reclaim
+    # retry, and fast_path_ok rules out NUMA placement.
+    failpoints = kernel.failpoints
+    allocator = kernel.allocator
+    table_pfns = []
+    pfns = np.empty(n_pages, dtype=np.int64)
+    filled = 0
+    for n in counts:
+        failpoints.hit("bulkops.leaf_table")
+        table_pfns.append(allocator.alloc(0))
+        failpoints.hit("bulkops.fill_absent")
+        pfns[filled:filled + n] = allocator.alloc_bulk(n)
+        filled += n
+
+    # The run's pages are entries [first_page, end_page) of its slots'
+    # rows laid end to end.
+    values = _entries_for(pfns, vma.writable, dirty=is_write)
+    if n_pages < n_slots * PTRS_PER_TABLE:
+        rows = np.zeros(n_slots * PTRS_PER_TABLE, dtype=np.uint64)
+        rows[first_page:end_page] = values
+        values = rows
+    leaves = mm.adopt_leaf_tables(table_pfns)
+    kernel.entry_store.scatter([leaf.row for leaf in leaves],
+                               values.reshape(n_slots, PTRS_PER_TABLE))
+    pmd_table.entries[index:index + n_slots] = _entries_for(
+        np.asarray(table_pfns, dtype=np.int64), writable=True, dirty=False)
+    kernel.pages.on_alloc_bulk(pfns, PG_ANON | (PG_DIRTY if is_write else 0))
+    rmap = kernel.rmap
+    if rmap is not None:
+        families = np.array([rmap.family[leaf.pfn] for leaf in leaves],
+                            dtype=np.int64)
+        homes = (families[:, None] * PTRS_PER_TABLE
+                 + np.arange(PTRS_PER_TABLE, dtype=np.int64))
+        rmap_add_bulk(kernel, pfns,
+                      homes=homes.ravel()[first_page:end_page])
+    mm.add_rss(n_pages, file_backed=False)
+    p = kernel.cost.params
+    ids = np.empty((n_slots, 2), dtype=np.int64)
+    ids[:] = (0, 1)
+    ns = np.empty((n_slots, 2), dtype=np.float64)
+    ns[:, 0] = p.pte_table_alloc * 1
+    ns[:, 1] = np.asarray(counts, dtype=np.float64) * (
+        p.fault_base + p.page_alloc + p.page_zero_4k)
+    kernel.cost.charge_many(ids, ns, _FILL_FNS)
+    events["demand_zero"] += n_pages
+    kernel.fastpath_counts["fill_engaged"] += n_slots
+    return True
 
 
 # --------------------------------------------------------------------- #

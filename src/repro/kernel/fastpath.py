@@ -1,7 +1,8 @@
-"""Analytic fast paths: whole-address-space fork and exit teardown.
+"""Analytic fast paths: whole-address-space fork, exit teardown, first touch.
 
 The per-event code in :mod:`repro.kernel.fork` and
-:mod:`repro.kernel.teardown` walks one 2 MiB slot at a time so that
+:mod:`repro.kernel.teardown` (and the first-touch fill in
+:mod:`repro.kernel.bulkops`) walks one 2 MiB slot at a time so that
 failpoints, tracepoints, sanitizers, and the SMP scheduler can interpose
 at every step.  When none of those observers is attached, the walk's
 outcome is a pure function of the address-space shape — so this module
@@ -17,22 +18,31 @@ state, and buddy free lists.  The rules that make that hold:
 * **Engagement predicate** (:func:`fast_path_ok`): tracing, sanitizers,
   SMP, NUMA/Mitosis, and failpoints (recording *or* armed — hit ordinals
   must keep counting per slot) all force the per-event path.
-* **Headroom rule**: the fork fast path engages only when it can prove
-  the per-event walk would neither wake kswapd nor enter reclaim/OOM
-  (``free - needed >= wm_low``); otherwise it falls back untouched.
+* **Headroom rule**: the fork fast path and a fill run engage only when
+  they can prove the per-event walk would neither wake kswapd nor enter
+  reclaim/OOM (``free - needed >= wm_low``); otherwise they fall back
+  untouched.
 * **Charge parity**: charges are queued in the exact per-event order and
   flushed through ``charge_many``, which consumes the same noise draws at
   the same buffer-refill boundaries and rounds each event half-even on
   its own.
 * **Allocator parity**: frame allocations go through the same
-  ``alloc_table`` calls in the same address order, and frees keep the
-  per-slot ``free_bulk`` grouping — buddy coalescing is batch-local, so
-  the grouping *is* allocator state.
+  ``alloc_table`` calls in the same address order (a fill run keeps
+  each slot's table frame, then its data frames), and frees keep the
+  per-slot ``free_bulk`` grouping — buddy splitting and coalescing are
+  call-local, so the call sequence *is* allocator state.
 * **Bail-before-mutate**: every fallback condition (duplicate pfns
   across an exit batch's slots, a released swap slot whose cached frame
   the batch also unmaps) is detected by read-only analysis before the
   first mutation, so a ``False`` return always means "run the per-event
   path on untouched state".
+
+Engagement is counted, not inferred: ``kernel.fastpath_counts`` (the
+``fastpath`` metrics namespace) holds ``<op>_engaged`` and
+``<op>_bailed.<reason>`` for ``op`` in fill (PMD slots), fork (forks),
+exit (PMD tables) and odfork_rss (odforks; engaged is
+``odfork_rss_copied``).  The counters are kept out of ``vmstat()``:
+paired fast and per-event machines differ in them by design.
 """
 
 from __future__ import annotations
@@ -85,6 +95,10 @@ from .tableops import drop_table_sharer
 
 _DROP_RW = np.uint64(~BIT_RW)
 
+#: The engaged counter of each fast path (see the module docstring).
+FASTPATH_ENGAGED = ("fill_engaged", "fork_engaged", "exit_engaged",
+                    "odfork_rss_copied")
+
 # charge_many id table for the fork leaf loop: the six charges one
 # classic_copy_slot issues for a leaf slot (pte_alloc_one, then the five
 # copy_one_pte split costs), plus the huge-entry copy.
@@ -105,6 +119,8 @@ _ID_ZAP, _ID_PUT, _ID_FREE = 0, 1, 2
 FASTPATH_REPLACES = {
     "fast_copy_mm_classic": "copy_mm_classic",
     "fast_exit_release_pmd_table": "_exit_release_pmd_table",
+    # bulkops.fast_fill_run: a run of absent slots' first touch.
+    "fast_fill_run": "_access_leaf_piece",
 }
 
 #: Features the slow paths consult that ``fast_path_ok`` deliberately
@@ -116,15 +132,19 @@ FASTPATH_HANDLED = {
             "rmap_add_bulk (no LRU edge can fire) and its child tables join "
             "their parents' families via alloc_table(copy_of=) as in "
             "classic_copy_slot; exit drops the same mapcounts with one "
-            "rmap_remove_bulk per table batch, in the per-event pfn order",
+            "rmap_remove_bulk per table batch, in the per-event pfn order; "
+            "a fill run enrols each fresh table in a new family and maps "
+            "its fresh pages with one rmap_add_bulk at their per-slot "
+            "homes, so the LRU gets them in the per-slot order",
     "swap": "fork duplicates swap entries via swap_dup_entries; exit "
             "releases each dead table's swap entries with swap_put_entries "
             "after that table's free_bulk and before its frame is freed, the "
             "per-event order, and bails only when a slot the batch releases "
-            "caches a frame the batch also unmaps",
-    "reclaim": "_fork_headroom_ok proves the copy finishes above wm_low, so "
-               "neither kswapd nor direct reclaim can engage; exit only "
-               "frees frames",
+            "caches a frame the batch also unmaps; a fill run only builds "
+            "fresh tables, which hold no swap entries",
+    "reclaim": "_fork_headroom_ok proves the copy (or the fill run) "
+               "finishes above wm_low, so neither kswapd nor direct reclaim "
+               "can engage; exit only frees frames",
 }
 
 
@@ -140,6 +160,32 @@ def fast_path_ok(kernel):
         and not kernel.failpoints.active
         and kernel.numa is None
     )
+
+
+def count_bail(kernel, op, reason, n=1):
+    """``n`` units of ``op`` took the per-event path because of ``reason``."""
+    kernel.fastpath_counts[f"{op}_bailed.{reason}"] += n
+
+
+def count_refusal(kernel, op, n=1):
+    """Count a :func:`fast_path_ok` refusal under its first failing
+    conjunct, in the predicate's order (the three sanitizer hooks share
+    one reason)."""
+    if not kernel.fastpath:
+        reason = "disabled"
+    elif points.enabled:
+        reason = "tracing"
+    elif kernel.smp is not None:
+        reason = "smp"
+    elif (kernel.san is not None
+          or getattr(kernel.allocator, "sanitizer", None) is not None
+          or kernel.phys.sanitizer is not None):
+        reason = "sanitizer"
+    elif kernel.failpoints.active:
+        reason = "failpoints"
+    else:
+        reason = "numa"
+    count_bail(kernel, op, reason, n)
 
 
 def _fork_headroom_ok(kernel, needed):
@@ -202,6 +248,7 @@ def fast_copy_mm_classic(kernel, parent_mm, child_mm):
     the per-event copy.
     """
     if not fast_path_ok(kernel):
+        count_refusal(kernel, "fork")
         return False
 
     # Read-only pre-scan: classify each parent PMD table's slots and add
@@ -225,6 +272,7 @@ def fast_copy_mm_classic(kernel, parent_mm, child_mm):
         n_leaf_total += len(leaf_pos)
         pud_keys.add(base // LEVEL_SPAN[LEVEL_PGD])
     if not _fork_headroom_ok(kernel, n_leaf_total + len(plan) + len(pud_keys)):
+        count_bail(kernel, "fork", "headroom")
         return False
 
     cost = kernel.cost
@@ -344,6 +392,7 @@ def fast_copy_mm_classic(kernel, parent_mm, child_mm):
 
     finish_classic_copy(kernel, parent_mm, child_mm, builder, n_leaf_total,
                         n_huge_total)
+    kernel.fastpath_counts["fork_engaged"] += 1
     return True
 
 
@@ -372,13 +421,14 @@ def _slot_release_frees_unmapped(kernel, swap_entries, all_pfns):
 def fast_exit_release_pmd_table(kernel, mm, pmd_table, table_base):
     """Vectorised ``_exit_release_pmd_table``; returns True when engaged.
 
-    The caller is responsible for checking :func:`fast_path_ok` once per
-    exit.  Returning False means nothing was mutated and the caller must
-    run the per-event release for this table.
+    The caller is responsible for checking :func:`fast_path_ok`.
+    Returning False means nothing was mutated and the caller must run the
+    per-event release for this table.
     """
     entries = pmd_table.entries
     present = present_mask(entries)
     if not present.any():
+        kernel.fastpath_counts["exit_engaged"] += 1
         return True
     pages = kernel.pages
     huge = (entries & BIT_PS) != ENTRY_NONE
@@ -407,15 +457,18 @@ def fast_exit_release_pmd_table(kernel, mm, pmd_table, table_base):
         if has_duplicates(all_pfns):
             # A duplicate pfn across slots changes which slot's free_bulk
             # batch releases the page; keep the per-event grouping.
+            count_bail(kernel, "exit", "duplicate_pfns")
             return False
         if kernel.swap is not None:
             swapped = swap_mask(matrix)
             has_swap = swapped.any(axis=1)
             if has_swap.any() and _slot_release_frees_unmapped(
                     kernel, matrix[swapped], all_pfns):
+                count_bail(kernel, "exit", "swap_release")
                 return False
     heads = entry_pfn(entries[huge_positions]).astype(np.int64)
     if has_duplicates(heads):
+        count_bail(kernel, "exit", "duplicate_pfns")
         return False
 
     cost = kernel.cost
@@ -526,4 +579,5 @@ def fast_exit_release_pmd_table(kernel, mm, pmd_table, table_base):
     if charge_ids:
         cost.charge_many(np.concatenate(charge_ids),
                          np.concatenate(charge_ns), _EXIT_FNS)
+    kernel.fastpath_counts["exit_engaged"] += 1
     return True

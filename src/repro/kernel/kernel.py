@@ -19,6 +19,7 @@ from ..sancheck.annotations import (
     tlb_deferred,
 )
 
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -188,6 +189,9 @@ class Kernel:
         # Machine(fastpath=False) or REPRO_NO_FASTPATH=1 forces the
         # per-event walks everywhere.
         self.fastpath = True
+        #: Fast-path engagement counters (``<op>_engaged``,
+        #: ``<op>_bailed.<reason>``), the ``fastpath`` metrics namespace.
+        self.fastpath_counts = Counter()
 
     def san_access(self, kind, key, write=True):
         """KCSAN instrumentation hook: record a kernel access to a word.

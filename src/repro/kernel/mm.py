@@ -15,6 +15,8 @@ module provides the structural plumbing they share:
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..errors import InvalidArgumentError, KernelBug
 from ..sancheck.annotations import charge_deferred, must_hold
 from ..mem.page import HUGE_PAGE_SIZE, PAGE_SIZE, PG_PAGETABLE
@@ -94,11 +96,7 @@ class MMStruct:
         table = PageTable(level, pfn, store=kernel.entry_store)
         kernel.register_table(table)
         if level == LEVEL_PTE:
-            kernel.pages.pt_refcount[pfn] = 1
-            self.nr_pte_tables += 1
-            kernel.pt_sharers[pfn] = [self]
-            if kernel.rmap is not None:
-                kernel.rmap.join(table, copy_of)
+            self._enrol_leaf(table, copy_of)
         elif level != LEVEL_PGD:
             self.nr_upper_tables += 1
         if kernel.mitosis is not None:
@@ -106,6 +104,31 @@ class MMStruct:
             # effort — on OOM the table simply runs unreplicated).
             kernel.mitosis.replicate_table(self, table)
         return table
+
+    def adopt_leaf_tables(self, pfns):
+        """Fresh leaf tables on frames the caller allocated, in order.
+
+        ``alloc_table(LEVEL_PTE)`` without the allocation, for a batch
+        (the batched fill); the caller runs without Mitosis replicas.
+        """
+        kernel = self.kernel
+        kernel.pages.on_alloc_bulk(np.asarray(pfns, dtype=np.int64),
+                                   PG_PAGETABLE)
+        store = kernel.entry_store
+        tables = [PageTable(LEVEL_PTE, pfn, store=store) for pfn in pfns]
+        for table in tables:
+            kernel.register_table(table)
+            self._enrol_leaf(table)
+        return tables
+
+    def _enrol_leaf(self, table, copy_of=None):
+        """A new leaf table: the §3.5 refcount, sharers, rmap family."""
+        kernel = self.kernel
+        kernel.pages.pt_refcount[table.pfn] = 1
+        self.nr_pte_tables += 1
+        kernel.pt_sharers[table.pfn] = [self]
+        if kernel.rmap is not None:
+            kernel.rmap.join(table, copy_of)
 
     @must_hold("mmap_lock")
     @charge_deferred("callers charge teardown via charge_table_free / "

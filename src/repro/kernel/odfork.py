@@ -37,7 +37,12 @@ import numpy as np
 
 from ..mem.page import HUGE_PAGE_ORDER, PTRS_PER_TABLE
 from ..paging.entries import BIT_PS, BIT_RW, entry_pfn, present_mask
-from .fastpath import _fork_headroom_ok, fast_path_ok
+from .fastpath import (
+    _fork_headroom_ok,
+    count_bail,
+    count_refusal,
+    fast_path_ok,
+)
 from .fork import (
     SLOT_DONE,
     ChildTreeBuilder,
@@ -122,6 +127,7 @@ def _child_rss_is_parents(kernel, parent_mm):
     shared.
     """
     if not fast_path_ok(kernel):
+        count_refusal(kernel, "odfork_rss")
         return False
     n_pmd = 0
     pud_keys = set()
@@ -129,7 +135,10 @@ def _child_rss_is_parents(kernel, parent_mm):
         if present_mask(pmd.entries).any():
             n_pmd += 1
             pud_keys.add(base // LEVEL_SPAN[LEVEL_PGD])
-    return _fork_headroom_ok(kernel, n_pmd + len(pud_keys))
+    if _fork_headroom_ok(kernel, n_pmd + len(pud_keys)):
+        return True
+    count_bail(kernel, "odfork_rss", "headroom")
+    return False
 
 
 @must_hold("mmap_lock", "ptl")
@@ -216,6 +225,7 @@ def copy_mm_odf(kernel, parent_mm, child_mm, share_huge=False):
     if copy_rss:
         child_mm.add_rss(parent_mm.rss_file_pages, file_backed=True)
         child_mm.add_rss(parent_mm.rss_anon_pages, file_backed=False)
+        kernel.fastpath_counts["odfork_rss_copied"] += 1
     kernel.cost.charge_share_tables(shared_tables)
     finish_odf_copy(kernel, parent_mm, child_mm, builder, shared_tables)
     return shared_tables

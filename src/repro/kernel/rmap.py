@@ -185,12 +185,13 @@ def rmap_remove(kernel, pfn):
         _unmapped(kernel, pfn, 1)
 
 
-def rmap_add_bulk(kernel, pfns, leaf=None, indices=None):
+def rmap_add_bulk(kernel, pfns, leaf=None, indices=None, homes=None):
     """Count one new mapping of every eligible pfn in ``pfns``.
 
     ``pfns[i]`` is mapped at ``leaf.entries[indices[i]]`` (fills, COW,
-    THP splits, snapshot restores).  Copies — classic fork and table COW
-    — pass neither: their tables joined the source's family and keep its
+    THP splits, snapshot restores), or at ``homes[i]`` (a batched fill
+    spanning several tables).  Copies — classic fork and table COW —
+    pass none: their tables joined the source's family and keep its
     entry positions, so every copied PTE sits at an existing home.
     """
     rmap = kernel.rmap
@@ -198,10 +199,14 @@ def rmap_add_bulk(kernel, pfns, leaf=None, indices=None):
         return
     pfns, mask = _eligible_pfns(kernel.pages, pfns)
     mapcount = rmap.mapcount
-    if leaf is None:
+    if homes is not None:
+        homes = homes[mask]
+    elif leaf is not None:
+        homes = rmap.home_of(leaf.pfn,
+                             np.asarray(indices, dtype=np.int64)[mask])
+    else:
         add_at(mapcount, pfns, 1)
         return
-    homes = rmap.home_of(leaf.pfn, np.asarray(indices, dtype=np.int64)[mask])
     fresh = np.nonzero(mapcount[pfns] == 0)[0]
     add_at(mapcount, pfns, 1)
     if len(fresh):

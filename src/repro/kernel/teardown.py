@@ -182,11 +182,16 @@ def exit_mmap(kernel, mm):
     """Tear down an entire address space on process exit."""
     if mm.dead:
         raise KernelBug("exit_mmap on a dead mm")
-    from .fastpath import fast_exit_release_pmd_table, fast_path_ok
+    from .fastpath import (
+        count_refusal,
+        fast_exit_release_pmd_table,
+        fast_path_ok,
+    )
     use_fast = fast_path_ok(kernel)
     for pmd_table, table_base in iter_parent_pmd_tables(mm):
-        if use_fast and fast_exit_release_pmd_table(kernel, mm, pmd_table,
-                                                    table_base):
+        if not use_fast:
+            count_refusal(kernel, "exit")
+        elif fast_exit_release_pmd_table(kernel, mm, pmd_table, table_base):
             continue
         _exit_release_pmd_table(kernel, mm, pmd_table, table_base)
     for vma in list(mm.vmas):

@@ -299,7 +299,8 @@ class CostModel:
             # Every live event touches its function's total — including
             # sub-ns charges whose perturbed value rounds to 0, which the
             # per-event loop records as a zero-valued entry.
-            for idx in np.unique(live_ids).tolist():
+            live_fns = np.bincount(live_ids, minlength=len(fn_table))
+            for idx in np.flatnonzero(live_fns).tolist():
                 totals[fn_table[idx]] += int(sums[idx])
         return total
 

@@ -48,6 +48,18 @@ def fingerprint(machine, procs_and_regions):
     return h.hexdigest()[:16]
 
 
+def physical_layout(machine):
+    """Digest the buddy free lists, allocation orders and every packed
+    entry row: which frames the kernel handed out, in which order, and
+    where they are mapped.  ``fingerprint`` sees only logical state."""
+    allocator = machine.kernel.allocator
+    h = hashlib.sha256(repr(allocator._free_lists).encode())
+    h.update(allocator._alloc_order.tobytes())
+    for chunk in machine.kernel.entry_store.chunks:
+        h.update(chunk.tobytes())
+    return h.hexdigest()[:16]
+
+
 def run_paired(scenario, golden=None, **machine_kwargs):
     prints = {}
     for label, fastpath in (("fast", True), ("per-event", False)):
@@ -197,6 +209,67 @@ def numa_flow(machine):
     return tracked
 
 
+def _fill_counts(machine):
+    counts = machine.metrics.collect("fastpath")
+    return (counts["fill_engaged"], counts.get("fill_bailed.headroom", 0),
+            counts.get("fill_bailed.disabled", 0))
+
+
+def _assert_filled(machine, mark, engaged, headroom=0):
+    """Since ``mark``, the batched fill took ``engaged`` slots and left
+    ``headroom`` slots to the per-slot path for lack of free memory; the
+    per-event machine counts both as refusals.  Returns the new mark."""
+    now = _fill_counts(machine)
+    delta = tuple(b - a for a, b in zip(mark, now))
+    if machine.kernel.fastpath:
+        assert delta == (engaged, headroom, 0)
+    else:
+        assert delta == (0, 0, engaged + headroom)
+    return now
+
+
+def populate_flow(machine):
+    # First-touch fills that the batched fill (bulkops.fast_fill_run)
+    # takes or refuses.  Each step pins the slot counts through the
+    # fastpath counters, so the pair cannot agree vacuously.
+    proc = machine.spawn_process("populate")
+    mark = _fill_counts(machine)
+    # A mapping across the first 1 GiB boundary of the mmap area; the pad
+    # below it is unmapped before anything touches it.
+    pad = proc.mmap(GIB - 6 * MIB)
+    cross = proc.mmap(24 * MIB)
+    proc.munmap(pad, GIB - 6 * MIB)
+    # A read fill with misaligned start and end: one run per PMD table.
+    proc.touch_range(cross + 5 * 4096 + 7, 10 * MIB - 9 * 4096, write=False)
+    mark = _assert_filled(machine, mark, engaged=3 + 2)
+    # A write over it: the five slots go per slot (their holes filled),
+    # the sixth is a fresh one-slot run.
+    proc.touch_range(cross, 12 * MIB, write=True)
+    mark = _assert_filled(machine, mark, engaged=1)
+    # One present slot in the middle of the range splits it in two runs.
+    mid = proc.mmap(16 * MIB)
+    proc.touch_range(mid + 6 * MIB + 4096, 4096, write=True)
+    mark = _assert_filled(machine, mark, engaged=1)
+    proc.touch_range(mid, 16 * MIB, write=True)
+    mark = _assert_filled(machine, mark, engaged=3 + 4)
+    # A range spanning two VMAs: the slot holding their boundary goes per
+    # slot, each VMA's whole slots are runs.
+    left = proc.mmap(3 * MIB)
+    proc.mmap(5 * MIB)
+    proc.touch_range(left, 8 * MIB, write=True)
+    mark = _assert_filled(machine, mark, engaged=1 + 2)
+    regions = [(cross, 12 * MIB), (mid, 16 * MIB), (left, 8 * MIB)]
+    if machine.kernel.reclaim is not None:
+        # With rmap live, a run that would end below wm_low is refused
+        # whole; its per-slot fill then wakes kswapd part way.
+        tight = proc.mmap(32 * MIB)
+        proc.touch_range(tight, 32 * MIB, write=True)
+        _assert_filled(machine, mark, engaged=0, headroom=16)
+        assert machine.vmstat()["pswpout"] > 0
+        regions.append((tight, 32 * MIB))
+    return [(proc, regions)]
+
+
 # ---------------------------------------------------------------------- #
 # golden per-event fingerprints (see module docstring for reseed policy)
 
@@ -208,6 +281,8 @@ GOLDEN = {
     "thp": "6d25909a7c898384",
     "numa": "f3140b6a0f20b844",
     "odfork_rss": "c5d53577a932c124",
+    "populate": "3e8c12c5fd62bd89",
+    "populate_swap": "8dc4bab8d49acb23",
 }
 
 
@@ -234,6 +309,25 @@ class TestFastPathEquivalence:
 
     def test_odfork_rss_flow(self):
         run_paired(odfork_rss_flow, GOLDEN["odfork_rss"], phys_mb=128)
+
+    def test_populate_flow(self):
+        run_paired(populate_flow, GOLDEN["populate"], phys_mb=64,
+                   noise_sigma=0.04, seed=16)
+
+    def test_populate_flow_swap(self):
+        run_paired(populate_flow, GOLDEN["populate_swap"], phys_mb=64,
+                   swap_mb=64, noise_sigma=0.04, seed=16)
+
+    @pytest.mark.parametrize("swap_mb", [0, 64])
+    def test_populate_flow_allocator_parity(self, swap_mb):
+        # The batched fill keeps each slot's allocator calls in the
+        # per-slot order; a reordering would hand out other frames.
+        layouts = set()
+        for fastpath in (True, False):
+            machine = Machine(fastpath=fastpath, phys_mb=64, swap_mb=swap_mb)
+            populate_flow(machine)
+            layouts.add(physical_layout(machine))
+        assert len(layouts) == 1
 
 
 @pytest.fixture
@@ -335,3 +429,59 @@ class TestEngagementPredicate:
         finally:
             machine.kernel.failpoints.disarm()
         assert fast_path_ok(machine.kernel)
+
+
+class TestEngagementCounters:
+    """The ``fastpath`` metrics namespace counts which path ran."""
+
+    @staticmethod
+    def _script(machine):
+        parent = machine.spawn_process("parent")
+        addr = parent.mmap(8 * MIB)
+        parent.touch_range(addr, 8 * MIB, write=True)   # 4 slots
+        parent.fork("child").exit()                     # 1 fork, 1 table
+        parent.odfork("sibling").exit()                 # 1 odfork, 1 table
+        return machine.metrics.collect("fastpath")
+
+    def test_scripted_counts(self):
+        assert self._script(Machine(phys_mb=64)) == {
+            "fill_engaged": 4, "fork_engaged": 1, "exit_engaged": 2,
+            "odfork_rss_copied": 1,
+        }
+
+    def test_reference_machine_never_engages(self):
+        assert self._script(Machine(phys_mb=64, fastpath=False)) == {
+            "fill_engaged": 0, "fork_engaged": 0, "exit_engaged": 0,
+            "odfork_rss_copied": 0,
+            "fill_bailed.disabled": 4, "fork_bailed.disabled": 1,
+            "exit_bailed.disabled": 2, "odfork_rss_bailed.disabled": 1,
+        }
+
+    def test_counters_stay_out_of_vmstat(self):
+        machine = Machine(phys_mb=64)
+        self._script(machine)
+        assert not any("engaged" in key or "bailed" in key
+                       for key in machine.vmstat())
+
+    @pytest.mark.parametrize("reason", ["tracing", "smp", "sanitizer",
+                                        "failpoints", "numa"])
+    def test_refusal_reason_names_the_conjunct(self, reason):
+        from repro.numa.topology import NumaTopology
+        from repro.trace import recording
+
+        kwargs = {"smp": {"smp": 1}, "sanitizer": {"sanitize": "kasan"},
+                  "numa": {"numa": NumaTopology(nodes=2)}}.get(reason, {})
+        machine = Machine(phys_mb=64, **kwargs)
+        proc = machine.spawn_process("p")
+        addr = proc.mmap(4 * MIB)
+        if reason == "failpoints":
+            machine.kernel.failpoints.record()
+        if reason == "tracing":
+            with recording(machine):
+                proc.touch_range(addr, 4 * MIB, write=True)
+        else:
+            proc.touch_range(addr, 4 * MIB, write=True)
+        assert machine.metrics.collect("fastpath") == {
+            "fill_engaged": 0, "fork_engaged": 0, "exit_engaged": 0,
+            "odfork_rss_copied": 0, f"fill_bailed.{reason}": 2,
+        }
