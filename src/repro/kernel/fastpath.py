@@ -9,6 +9,11 @@ outcome is a pure function of the address-space shape — so this module
 computes the same result with a handful of vectorised operations over the
 packed :class:`~repro.paging.store.EntryStore` rows and one
 :meth:`~repro.timing.costs.CostModel.charge_many` call per fork or table.
+Each page column is read once
+(:func:`~repro.paging.entries.present_pfns`), and only the buddy calls
+stay per slot: fork adopts a PMD table's leaf tables in one
+:meth:`~repro.kernel.mm.MMStruct.adopt_leaf_tables` batch, and exit
+drops its dead tables' sharers, rmap families and packed rows in one.
 
 Equivalence contract (enforced by ``repro.verify --equivalence`` and
 ``tests/test_vectorized_equivalence.py``): a run with the fast path
@@ -16,8 +21,10 @@ engaged produces bit-identical clocks, stats, RSS, digests, noise-RNG
 state, and buddy free lists.  The rules that make that hold:
 
 * **Engagement predicate** (:func:`fast_path_ok`): tracing, sanitizers,
-  SMP, NUMA/Mitosis, and failpoints (recording *or* armed — hit ordinals
-  must keep counting per slot) all force the per-event path.
+  a *running* SMP scheduler, NUMA/Mitosis, and failpoints (recording *or*
+  armed — hit ordinals must keep counting per slot) all force the
+  per-event path.  Only a running scheduler can interpose between
+  slots, so an idle ``Machine(smp=N)`` takes the fast path.
 * **Headroom rule**: the fork fast path and a fill run engage only when
   they can prove the per-event walk would neither wake kswapd nor enter
   reclaim/OOM (``free - needed >= wm_low``); otherwise they fall back
@@ -26,11 +33,13 @@ state, and buddy free lists.  The rules that make that hold:
   flushed through ``charge_many``, which consumes the same noise draws at
   the same buffer-refill boundaries and rounds each event half-even on
   its own.
-* **Allocator parity**: frame allocations go through the same
-  ``alloc_table`` calls in the same address order (a fill run keeps
-  each slot's table frame, then its data frames), and frees keep the
-  per-slot ``free_bulk`` grouping — buddy splitting and coalescing are
-  call-local, so the call sequence *is* allocator state.
+* **Allocator parity**: frame allocations are the same buddy calls in
+  the same address order (fork allocates each leaf frame after its
+  PMD table's upper tables; a fill run keeps each slot's table frame,
+  then its data frames), and frees keep the per-slot ``free_bulk``
+  grouping — buddy splitting and coalescing are call-local, so the call
+  sequence *is* allocator state.  Packed rows are taken in the same
+  order too (one adopt per PMD table).
 * **Bail-before-mutate**: every fallback condition (duplicate pfns
   across an exit batch's slots, a released swap slot whose cached frame
   the batch also unmaps) is detected by read-only analysis before the
@@ -67,9 +76,10 @@ from ..paging.entries import (
     PFN_SHIFT,
     entry_pfn,
     present_mask,
+    present_pfns,
     swap_mask,
 )
-from ..paging.table import LEVEL_PGD, LEVEL_PTE, LEVEL_SPAN, PMD_REGION_SIZE
+from ..paging.table import LEVEL_PGD, LEVEL_SPAN, PMD_REGION_SIZE
 from ..timing.costs import (
     FN_COMPOUND_HEAD,
     FN_COPY_ONE_PTE,
@@ -84,7 +94,6 @@ from ..timing.costs import (
 )
 from ..trace import points
 from .fork import (
-    _slot_needs_cow,
     begin_classic_copy,
     finish_classic_copy,
     iter_parent_pmd_tables,
@@ -130,9 +139,10 @@ FASTPATH_HANDLED = {
                "numa-is-None bail keeps the fast path off Mitosis machines",
     "rmap": "fork raises the mapcount of already-mapped pages with one "
             "rmap_add_bulk (no LRU edge can fire) and its child tables join "
-            "their parents' families via alloc_table(copy_of=) as in "
-            "classic_copy_slot; exit drops the same mapcounts with one "
-            "rmap_remove_bulk per table batch, in the per-event pfn order; "
+            "their parents' families via adopt_leaf_tables(copy_of=), as "
+            "alloc_table(copy_of=) does in classic_copy_slot; exit drops "
+            "the same mapcounts with one rmap_remove_bulk per table batch, "
+            "in the per-event pfn order; "
             "a fill run enrols each fresh table in a new family and maps "
             "its fresh pages with one rmap_add_bulk at their per-slot "
             "homes, so the LRU gets them in the per-slot order",
@@ -153,7 +163,7 @@ def fast_path_ok(kernel):
     return (
         kernel.fastpath
         and not points.enabled
-        and kernel.smp is None
+        and (kernel.smp is None or not kernel.smp.running)
         and kernel.san is None
         and getattr(kernel.allocator, "sanitizer", None) is None
         and kernel.phys.sanitizer is None
@@ -175,7 +185,7 @@ def count_refusal(kernel, op, n=1):
         reason = "disabled"
     elif points.enabled:
         reason = "tracing"
-    elif kernel.smp is not None:
+    elif kernel.smp is not None and kernel.smp.running:
         reason = "smp"
     elif (kernel.san is not None
           or getattr(kernel.allocator, "sanitizer", None) is not None
@@ -223,6 +233,21 @@ def _cow_mask_for_table(mm, table_base):
     return mask.reshape(PTRS_PER_TABLE, PTRS_PER_TABLE)
 
 
+def _row_counts(present, n_present):
+    """Present entries per row of the ``(n, 512)`` mask ``present``,
+    which holds ``n_present`` in all."""
+    if n_present == present.size:
+        return np.full(len(present), PTRS_PER_TABLE, dtype=np.int64)
+    return np.count_nonzero(present, axis=1).astype(np.int64, copy=False)
+
+
+def _count_flagged(flags, pfns, bit):
+    """How many of ``pfns`` carry ``bit`` in the page-flags column."""
+    picked = flags.take(pfns)
+    np.bitwise_and(picked, bit, out=picked)
+    return int(np.count_nonzero(picked))
+
+
 def _write_protect(matrix, cow, all_cow):
     """Drop RW from the ``cow`` entries of ``matrix``, in place.
 
@@ -256,6 +281,7 @@ def fast_copy_mm_classic(kernel, parent_mm, child_mm):
     plan = []
     n_leaf_total = 0
     pud_keys = set()
+    resolve = kernel.resolve_table
     for pmd, base in iter_parent_pmd_tables(parent_mm):
         entries = pmd.entries
         present = present_mask(entries)
@@ -265,10 +291,8 @@ def fast_copy_mm_classic(kernel, parent_mm, child_mm):
         leaf_pos = np.nonzero(present & ~huge)[0]
         huge_pos = np.nonzero(present & huge)[0]
         parent_pfns = entry_pfn(entries[leaf_pos]).astype(np.int64)
-        parents = [kernel.resolve_table(ppfn) for ppfn in parent_pfns.tolist()]
-        parent_rows = np.array([t.row for t in parents], dtype=np.int64)
-        plan.append((pmd, base, leaf_pos, huge_pos, parent_pfns, parents,
-                     parent_rows))
+        parents = [resolve(ppfn) for ppfn in parent_pfns.tolist()]
+        plan.append((pmd, base, leaf_pos, huge_pos, parent_pfns, parents))
         n_leaf_total += len(leaf_pos)
         pud_keys.add(base // LEVEL_SPAN[LEVEL_PGD])
     if not _fork_headroom_ok(kernel, n_leaf_total + len(plan) + len(pud_keys)):
@@ -280,6 +304,7 @@ def fast_copy_mm_classic(kernel, parent_mm, child_mm):
     factor = cost.contention_factor()
     store = kernel.entry_store
     pages = kernel.pages
+    allocator = kernel.allocator
 
     builder = begin_classic_copy(kernel, parent_mm, child_mm)
 
@@ -288,55 +313,53 @@ def fast_copy_mm_classic(kernel, parent_mm, child_mm):
     copied = []
     n_huge_total = 0
 
-    for pmd, base, leaf_pos, huge_pos, parent_pfns, parents, parent_rows in plan:
-        # Upper levels first, then one leaf table per slot in address
+    for pmd, base, leaf_pos, huge_pos, parent_pfns, parents in plan:
+        # Upper levels first, then one leaf frame per slot in address
         # order — the exact allocator call sequence of the per-event walk.
+        # The headroom proof rules out alloc_table_frame's kswapd wake and
+        # reclaim retry, and fast_path_ok rules out NUMA placement, so
+        # the buddy calls it ends in are the whole allocation.
         child_pmd = builder.pmd_table_for(base)
         n_slots = len(leaf_pos)
+        cow_table = _cow_mask_for_table(parent_mm, base)
 
         counts = None
         if n_slots:
-            child_rows = np.empty(n_slots, dtype=np.int64)
-            child_pfns = np.empty(n_slots, dtype=np.int64)
-            # fast_path_ok() requires failpoints to be inactive, so fault
-            # injection always routes through copy_mm_classic, whose
-            # fork.copy_slot site covers this OOM path; the headroom
-            # pre-check above proves these allocations cannot fail here.
-            for i in range(n_slots):
-                # sancheck: ignore[failpoint] -- unreachable under fault injection: fast_path_ok() bails when failpoints are armed
-                leaf = child_mm.alloc_table(LEVEL_PTE, copy_of=parents[i])
-                child_rows[i] = leaf.row
-                child_pfns[i] = leaf.pfn
+            # sancheck: ignore[failpoint] -- unreachable under fault injection: fast_path_ok() bails when failpoints are armed
+            leaf_pfns = [allocator.alloc(0) for _ in range(n_slots)]
+            leaves = child_mm.adopt_leaf_tables(leaf_pfns, copy_of=parents)
 
+            parent_rows = [t.row for t in parents]
             matrix = store.gather(parent_rows)
-            cow = _cow_mask_for_table(parent_mm, base)[leaf_pos]
+            cow = cow_table[leaf_pos]
             all_cow = cow.all()
             _write_protect(matrix, cow, all_cow)
-            # Dedicated parent tables get the same write-protect; shared
-            # ones are left alone — their PMD entry already carries RW=0
-            # and the table-COW protocol owns their entry bits.
-            dedicated = pages.pt_refcount[parent_pfns] == 1
-            if dedicated.any() and cow.any():
-                ded_rows = parent_rows[dedicated]
-                pmat = store.gather(ded_rows)
-                _write_protect(pmat, cow[dedicated], all_cow)
-                store.scatter(ded_rows, pmat)
-            store.scatter(child_rows, matrix)
+            # Dedicated parent tables get the same write-protect, so their
+            # rows are the protected child matrix; shared ones are left
+            # alone — their PMD entry already carries RW=0 and the
+            # table-COW protocol owns their entry bits.
+            if cow.any():
+                dedicated = pages.pt_refcount[parent_pfns] == 1
+                if dedicated.all():
+                    store.scatter(parent_rows, matrix)
+                elif dedicated.any():
+                    store.scatter(np.asarray(parent_rows)[dedicated],
+                                  matrix[dedicated])
+            store.scatter([leaf.row for leaf in leaves], matrix)
 
-            pres = present_mask(matrix)
-            counts = pres.sum(axis=1).astype(np.int64)
-            all_pfns = entry_pfn(matrix[pres]).astype(np.int64)
-            if len(all_pfns):
-                pages.ref_inc_bulk(all_pfns)
-                n_file = int(np.count_nonzero(pages.flags[all_pfns] & PG_FILE))
+            pres, pfns = present_pfns(matrix)
+            counts = _row_counts(pres, len(pfns))
+            if len(pfns):
+                pages.ref_inc_bulk(pfns)
+                n_file = _count_flagged(pages.flags, pfns, PG_FILE)
                 child_mm.add_rss(n_file, file_backed=True)
-                child_mm.add_rss(len(all_pfns) - n_file, file_backed=False)
+                child_mm.add_rss(len(pfns) - n_file, file_backed=False)
             kernel.swap_dup_entries(matrix.ravel())
             if kernel.rmap is not None:
-                copied.append(all_pfns)
+                copied.append(pfns)
             child_pmd.entries[leaf_pos] = (
-                ((child_pfns.astype(np.uint64) << np.uint64(PFN_SHIFT))
-                 & np.uint64(PFN_MASK))
+                ((np.asarray(leaf_pfns, dtype=np.uint64)
+                  << np.uint64(PFN_SHIFT)) & np.uint64(PFN_MASK))
                 | np.uint64(BIT_PRESENT | BIT_RW | BIT_USER)
             )
 
@@ -344,10 +367,8 @@ def fast_copy_mm_classic(kernel, parent_mm, child_mm):
             ents = pmd.entries[huge_pos].copy()
             heads = entry_pfn(ents).astype(np.int64)
             pages.ref_inc_bulk(heads)
-            needs = np.fromiter(
-                (_slot_needs_cow(parent_mm, base + int(pos) * PMD_REGION_SIZE)
-                 for pos in huge_pos),
-                dtype=bool, count=len(huge_pos))
+            # A huge slot needs COW when its first page does.
+            needs = cow_table[huge_pos, 0]
             if needs.any():
                 ents[needs] &= _DROP_RW
                 pmd.entries[huge_pos[needs]] = ents[needs]
@@ -445,15 +466,11 @@ def fast_exit_release_pmd_table(kernel, mm, pmd_table, table_base):
         surviving = refs > 1
         dead_pfns = leaf_pfns[~surviving]
         dead = dead_pfns.tolist()
-        rows = np.empty(len(dead), dtype=np.int64)
-        for i, tpfn in enumerate(dead):
-            table = kernel.resolve_table(tpfn)
-            dead_tables.append(table)
-            rows[i] = table.row
-        matrix = kernel.entry_store.gather(rows)
-        pres = present_mask(matrix)
-        counts = pres.sum(axis=1).astype(np.int64)
-        all_pfns = entry_pfn(matrix[pres]).astype(np.int64)
+        resolve = kernel.resolve_table
+        dead_tables = [resolve(tpfn) for tpfn in dead]
+        matrix = kernel.entry_store.gather([t.row for t in dead_tables])
+        pres, all_pfns = present_pfns(matrix)
+        counts = _row_counts(pres, len(all_pfns))
         if has_duplicates(all_pfns):
             # A duplicate pfn across slots changes which slot's free_bulk
             # batch releases the page; keep the per-event grouping.
@@ -495,34 +512,37 @@ def fast_exit_release_pmd_table(kernel, mm, pmd_table, table_base):
         # Reverse mappings first: eligibility reads page flags, which the
         # bulk free below resets.
         rmap_remove_bulk(kernel, all_pfns)
-        if len(all_pfns):
-            # all_pfns is duplicate-free (the has_duplicates bail), so one
-            # gather and one scatter decrement every page exactly once.
-            newrefs = pages.refcount[all_pfns] - 1
-            pages.refcount[all_pfns] = newrefs
-            if np.any(newrefs < 0):
-                bad = all_pfns[newrefs < 0]
-                raise KernelBug(
-                    f"page refcount underflow on pfns {bad[:8].tolist()}")
-            zeroed_mask = newrefs == 0
-            zeroed = all_pfns[zeroed_mask]
-            if len(zeroed):
-                if np.any(pages.flags[zeroed] & PG_FILE):
-                    raise KernelBug(
-                        "file page refcount dropped to zero outside the cache")
-                pages.on_free_bulk(zeroed)
+        # all_pfns is duplicate-free (the has_duplicates bail), so one
+        # gather and one scatter decrement every page exactly once.
+        newrefs = pages.refcount.take(all_pfns)
+        newrefs -= 1
+        pages.refcount[all_pfns] = newrefs
+        if len(newrefs) and newrefs.min() < 0:
+            bad = all_pfns[newrefs < 0]
+            raise KernelBug(
+                f"page refcount underflow on pfns {bad[:8].tolist()}")
+        # zeroed[zeroed_at[i]:zeroed_at[i + 1]] are table i's freed pages.
+        zeroed_mask = newrefs == 0
+        n_zeroed = int(np.count_nonzero(zeroed_mask))
+        if n_zeroed == len(all_pfns):
+            zeroed, zeroed_at = all_pfns, offsets.tolist()
+        elif n_zeroed == 0:
+            zeroed, zeroed_at = all_pfns[:0], [0] * (n_dead + 1)
         else:
-            zeroed_mask = np.empty(0, dtype=bool)
-            zeroed = all_pfns
+            zeroed = all_pfns[zeroed_mask]
+            zeroed_at = np.searchsorted(np.flatnonzero(zeroed_mask),
+                                        offsets).tolist()
+        if n_zeroed:
+            if _count_flagged(pages.flags, zeroed, PG_FILE):
+                raise KernelBug(
+                    "file page refcount dropped to zero outside the cache")
+            pages.on_free_bulk(zeroed)
         # Only buddy calls stay in the per-table loop: buddy coalescing is
         # call-local, so their order is allocator state.  Each table's
         # pages go first, then its swap slots (a slot's last reference
         # frees its swap-cache frame), then the table frame, as in the
         # per-event walk.
         allocator = kernel.allocator
-        # zeroed[zeroed_at[i]:zeroed_at[i + 1]] are table i's freed pages.
-        zeroed_at = np.searchsorted(np.flatnonzero(zeroed_mask),
-                                    offsets).tolist()
         swapped_rows = [] if has_swap is None else has_swap.tolist()
         for i, table_pfn in enumerate(dead):
             lo, hi = zeroed_at[i], zeroed_at[i + 1]
@@ -535,14 +555,17 @@ def fast_exit_release_pmd_table(kernel, mm, pmd_table, table_base):
             if swapped_rows and swapped_rows[i]:
                 kernel.swap_put_entries(matrix[i])
             allocator.free(table_pfn, 0)
-        pt_sharers = kernel.pt_sharers
-        for table_pfn in dead:
-            drop_table_sharer(kernel, table_pfn, mm)
-            del pt_sharers[table_pfn]
+        # Each dead table's only sharer is this mm.
+        unshared = kernel.pt_sharers.pop
+        strays = [pfn for pfn in dead if mm not in unshared(pfn, ())]
+        if strays:
+            raise KernelBug(f"mm {mm.owner_pid} is not a registered sharer "
+                            f"of tables {strays[:8]}")
         if kernel.rmap is not None:
             kernel.rmap.leave(dead)
         kernel.unregister_table(dead_tables)  # re-zeroes the packed rows
-        kernel.phys.zero_bulk(np.concatenate([zeroed, dead_pfns]))
+        kernel.phys.zero_bulk(zeroed)
+        kernel.phys.zero_bulk(dead_pfns)
         pages.on_free_bulk(dead_pfns)
         entries[leaf_positions[~surviving]] = ENTRY_NONE
         mm.nr_pte_tables -= n_dead

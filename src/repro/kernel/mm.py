@@ -105,20 +105,28 @@ class MMStruct:
             kernel.mitosis.replicate_table(self, table)
         return table
 
-    def adopt_leaf_tables(self, pfns):
+    def adopt_leaf_tables(self, pfns, copy_of=None):
         """Fresh leaf tables on frames the caller allocated, in order.
 
-        ``alloc_table(LEVEL_PTE)`` without the allocation, for a batch
-        (the batched fill); the caller runs without Mitosis replicas.
+        ``alloc_table(LEVEL_PTE, copy_of=copy_of[i])`` for each
+        ``pfns[i]`` without the allocation, for a batch (the batched fill
+        and classic fork); the caller runs without Mitosis replicas.
         """
         kernel = self.kernel
-        kernel.pages.on_alloc_bulk(np.asarray(pfns, dtype=np.int64),
-                                   PG_PAGETABLE)
+        pfn_array = np.asarray(pfns, dtype=np.int64)
+        pages = kernel.pages
+        pages.on_alloc_bulk(pfn_array, PG_PAGETABLE)
+        pages.pt_refcount[pfn_array] = 1
         store = kernel.entry_store
         tables = [PageTable(LEVEL_PTE, pfn, store=store) for pfn in pfns]
         for table in tables:
             kernel.register_table(table)
-            self._enrol_leaf(table)
+        kernel.pt_sharers.update((pfn, [self]) for pfn in pfns)
+        self.nr_pte_tables += len(tables)
+        rmap = kernel.rmap
+        if rmap is not None:
+            for table, source in zip(tables, copy_of or [None] * len(tables)):
+                rmap.join(table, source)
         return tables
 
     def _enrol_leaf(self, table, copy_of=None):

@@ -15,6 +15,8 @@ that AND-across-levels rule.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from ..mem.page import PAGE_SHIFT
@@ -45,6 +47,10 @@ SWAP_TYPE_SHIFT = np.uint64(2)
 SWAP_TYPE_MASK = np.uint64(0x1F << 2)
 
 ENTRY_NONE = np.uint64(0)
+
+#: Whether an entry's low byte (PRESENT, RW, ..., PS) is its first byte
+#: in memory, which :func:`present_pfns` reads through a strided view.
+LOW_BYTE_FIRST = sys.byteorder == "little"
 
 
 def make_entry(pfn, writable=True, user=True, present=True, huge=False,
@@ -131,6 +137,32 @@ def swap_entry_type(entry):
 def present_mask(entries):
     """Boolean mask of present entries in a table array."""
     return (entries & BIT_PRESENT) != 0
+
+
+def present_pfns(entries):
+    """``(present, pfns)``: :func:`present_mask` of ``entries`` and the
+    pfns of its present entries as int64, in row-major order.
+
+    One pass per column.  The present bits come from a strided ``uint8``
+    view of each entry's low byte, which writes a byte per entry where
+    the mask builds a 64-bit temporary first (a big-endian host, or a
+    last axis that is not contiguous, takes the mask).  The pfns are
+    masked and shifted in place in one scratch buffer and returned
+    through an ``int64`` view (the pfn field ends below bit 63); when
+    every entry is present, ``ravel`` replaces the boolean compress.
+    """
+    if LOW_BYTE_FIRST and entries.strides[-1] == entries.itemsize:
+        low = entries.view(np.uint8)[..., ::entries.itemsize]
+        present = np.bitwise_and(low, 1).view(bool)
+    else:
+        present = present_mask(entries)
+    if np.count_nonzero(present) == present.size:
+        pfns = np.bitwise_and(entries.ravel(), PFN_MASK)
+    else:
+        pfns = entries[present]
+        np.bitwise_and(pfns, PFN_MASK, out=pfns)
+    np.right_shift(pfns, PFN_SHIFT, out=pfns)
+    return present, pfns.view(np.int64)
 
 
 def swap_mask(entries):

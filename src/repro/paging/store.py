@@ -34,6 +34,10 @@ from ..mem.page import PTRS_PER_TABLE
 #: enough that a multi-GiB address space spans only a handful of chunks.
 CHUNK_ROWS = 1024
 
+#: :meth:`EntryStore.release` zeroes a batch of at least this many rows
+#: per chunk rather than row by row (the measured break-even).
+RELEASE_PER_CHUNK = 16
+
 
 class EntryStore:
     """A growable pool of packed 512-entry rows."""
@@ -60,9 +64,17 @@ class EntryStore:
         return row
 
     def release(self, rows):
-        """Re-zero rows and make them available for reuse, in order."""
-        for row in rows:
-            self.row_view(row).fill(0)
+        """Re-zero rows and make them available for reuse, in order.
+
+        A batch of :data:`RELEASE_PER_CHUNK` rows or more is zeroed with
+        one fancy-index store per chunk; fewer rows cost less one by one.
+        """
+        if len(rows) >= RELEASE_PER_CHUNK:
+            for chunk, indices, _ in self._by_chunk(rows):
+                chunk[indices] = 0
+        else:
+            for row in rows:
+                self.row_view(row).fill(0)
         self._free.extend(rows)
 
     def row_view(self, row):
@@ -72,33 +84,39 @@ class EntryStore:
 
     # ---- bulk access ----------------------------------------------------
 
-    def gather(self, rows):
-        """A ``(len(rows), 512)`` *copy* of the given rows' entries."""
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.size == 0:
-            return np.empty((0, PTRS_PER_TABLE), dtype=np.uint64)
-        chunk_ids, indices = np.divmod(rows, CHUNK_ROWS)
+    def _by_chunk(self, rows):
+        """``(chunk, indices, mask)`` for each chunk holding some of
+        ``rows``: the rows' indices within it and which of ``rows`` they
+        are (``None`` when every row lies in one chunk)."""
+        chunk_ids, indices = np.divmod(np.asarray(rows, dtype=np.int64),
+                                       CHUNK_ROWS)
         first = int(chunk_ids[0])
         if (chunk_ids == first).all():
-            return self.chunks[first][indices]
-        out = np.empty((rows.size, PTRS_PER_TABLE), dtype=np.uint64)
+            return [(self.chunks[first], indices, None)]
+        groups = []
         for cid in np.unique(chunk_ids).tolist():
             mask = chunk_ids == cid
-            out[mask] = self.chunks[cid][indices[mask]]
+            groups.append((self.chunks[cid], indices[mask], mask))
+        return groups
+
+    def gather(self, rows):
+        """A ``(len(rows), 512)`` *copy* of the given rows' entries."""
+        if len(rows) == 0:
+            return np.empty((0, PTRS_PER_TABLE), dtype=np.uint64)
+        groups = self._by_chunk(rows)
+        if groups[0][2] is None:
+            chunk, indices, _ = groups[0]
+            return chunk[indices]
+        out = np.empty((len(rows), PTRS_PER_TABLE), dtype=np.uint64)
+        for chunk, indices, mask in groups:
+            out[mask] = chunk[indices]
         return out
 
     def scatter(self, rows, matrix):
         """Write ``matrix`` (``(len(rows), 512)``) into the given rows."""
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.size != len(matrix):
+        if len(rows) != len(matrix):
             raise KernelBug("scatter shape mismatch")
-        if rows.size == 0:
+        if len(rows) == 0:
             return
-        chunk_ids, indices = np.divmod(rows, CHUNK_ROWS)
-        first = int(chunk_ids[0])
-        if (chunk_ids == first).all():
-            self.chunks[first][indices] = matrix
-            return
-        for cid in np.unique(chunk_ids).tolist():
-            mask = chunk_ids == cid
-            self.chunks[cid][indices[mask]] = matrix[mask]
+        for chunk, indices, mask in self._by_chunk(rows):
+            chunk[indices] = matrix if mask is None else matrix[mask]

@@ -171,7 +171,7 @@ def main(argv=None):
                     print(f"FAIL {name}: {finding}")
 
         if args.equivalence:
-            eq_findings = check_trace_equivalence(trace)
+            eq_findings = check_trace_equivalence(trace, smp=args.smp)
             efp_findings, efp_meta = enumerate_equivalence_failpoints(
                 trace, max_hits_per_site=args.max_failpoint_hits)
             eq_findings += efp_findings

@@ -30,6 +30,7 @@ verify machine sizing makes it effectively unreachable in practice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .audit import audit_machine
 from .trace import TraceExecutor, make_machine
@@ -281,7 +282,7 @@ def check_trace_numa(trace, nodes=2, policies=None):
     return findings
 
 
-def check_trace_equivalence(trace, flavors=("classic", "odfork")):
+def check_trace_equivalence(trace, flavors=("classic", "odfork"), smp=2):
     """The analytic-fast-path battery: fastpath-on vs per-event machines.
 
     :mod:`repro.kernel.fastpath` claims to be *bit-identical* to the
@@ -293,13 +294,18 @@ def check_trace_equivalence(trace, flavors=("classic", "odfork")):
     enabled (the default), one forced per-event via
     ``Machine(fastpath=False)`` — and diffs everything the oracle can
     see, then tears both down and leak-checks them (teardown itself has
-    a fast path to prove equivalent).
+    a fast path to prove equivalent).  The pairs run again on
+    ``Machine(smp=smp)``: the trace never starts its scheduler, so the
+    fast path engages on an idle SMP machine.
     """
     findings = []
-    for flavor in flavors:
+    for cpus, flavor in product((None, smp), flavors):
         pair = f"fastpath-vs-perevent:{flavor}"
-        exec_fast, fast = run_differential(trace, flavor)
-        exec_slow, slow = run_differential(trace, flavor, fastpath=False)
+        if cpus is not None:
+            pair += f":smp={cpus}"
+        exec_fast, fast = run_differential(trace, flavor, smp=cpus)
+        exec_slow, slow = run_differential(trace, flavor, smp=cpus,
+                                           fastpath=False)
         findings += compare_runs(trace, fast, slow, pair,
                                  name_a="fastpath", name_b="per-event")
         if findings:

@@ -51,7 +51,7 @@ from ..paging.entries import (
     is_swap_entry,
     swap_entry_slot,
 )
-from ..paging.table import LEVEL_PTE, table_index
+from ..paging.table import LEVEL_PMD, level_base
 from .audit import audit_machine
 
 TRACE_FORMAT = 1
@@ -68,6 +68,7 @@ _EXPECTED_ERRORS = (SegmentationFault, BusError, InvalidArgumentError,
                     OutOfMemoryError, ProcessError)
 
 _ZERO_PAGE = bytes(PAGE_SIZE)
+_ZERO_SLOT = memoryview(bytes(HUGE_PAGE_SIZE))
 
 _PROT = {
     "rw": PROT_READ | PROT_WRITE,
@@ -591,30 +592,40 @@ class TraceExecutor:
         kernel = self.machine.kernel
         mm = process.mm
         digest = hashlib.sha256()
-        for offset in range(0, nbytes, PAGE_SIZE):
-            digest.update(self._logical_page(kernel, mm, addr + offset))
+        end = addr + nbytes
+        while addr < end:
+            slot_end = min(level_base(addr, LEVEL_PMD) + HUGE_PAGE_SIZE, end)
+            for piece in self._logical_slot(kernel, mm, addr, slot_end):
+                digest.update(piece)
+            addr = slot_end
         return digest.hexdigest()[:16]
 
     @staticmethod
-    def _logical_page(kernel, mm, vaddr):
-        walked = mm.walk_to_pmd(vaddr, alloc=False)
-        if walked is None:
-            return _ZERO_PAGE
-        pmd_table, pmd_index = walked
-        entry = pmd_table.entries[pmd_index]
-        if not is_present(entry):
-            return _ZERO_PAGE
+    def _logical_slot(kernel, mm, lo, hi):
+        """The logical bytes of the pages ``[lo, hi)`` of one 2 MiB slot,
+        page by page, or all at once when the slot maps nothing."""
+        walked = mm.walk_to_pmd(lo, alloc=False)
+        entry = None if walked is None else walked[0].entries[walked[1]]
+        if entry is None or not is_present(entry):
+            yield _ZERO_SLOT[:hi - lo]
+            return
+        first = (lo % HUGE_PAGE_SIZE) // PAGE_SIZE
+        count = (hi - lo) // PAGE_SIZE
+        phys = kernel.phys
         if is_huge(entry):
-            sub = (vaddr % HUGE_PAGE_SIZE) // PAGE_SIZE
-            return kernel.phys.read(int(entry_pfn(entry)) + sub, 0, PAGE_SIZE)
+            head = int(entry_pfn(entry))
+            for sub in range(first, first + count):
+                yield phys.read(head + sub, 0, PAGE_SIZE)
+            return
         leaf = mm.resolve(int(entry_pfn(entry)))
-        pte = leaf.entries[table_index(vaddr, LEVEL_PTE)]
-        if is_present(pte):
-            return kernel.phys.read(int(entry_pfn(pte)), 0, PAGE_SIZE)
-        if is_swap_entry(pte):
-            data = kernel.swap.read(int(swap_entry_slot(pte)))
-            return data if data is not None else _ZERO_PAGE
-        return _ZERO_PAGE
+        for pte in leaf.entries[first:first + count]:
+            if is_present(pte):
+                yield phys.read(int(entry_pfn(pte)), 0, PAGE_SIZE)
+            elif is_swap_entry(pte):
+                data = kernel.swap.read(int(swap_entry_slot(pte)))
+                yield data if data is not None else _ZERO_PAGE
+            else:
+                yield _ZERO_PAGE
 
     def _smaps_consistent(self, process):
         """Internal invariant: per-VMA residency sums to the RSS counter."""

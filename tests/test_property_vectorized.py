@@ -19,23 +19,28 @@ Four families, each pinning one layer of the vectorisation stack:
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 import hypothesis.strategies as st
 
 from repro import Machine
 from repro.mem.buddy import MAX_ORDER, BuddyAllocator, _member_mask
+from repro.paging import entries as entries_module
 from repro.paging.entries import (
     BIT_ACCESSED,
     BIT_DIRTY,
     BIT_PRESENT,
+    BIT_PS,
     BIT_RW,
+    BIT_SWAP,
     entry_pfn,
     is_present,
     is_writable,
     present_mask,
+    present_pfns,
     writable_mask,
 )
-from repro.paging.store import CHUNK_ROWS, EntryStore
+from repro.paging.store import CHUNK_ROWS, RELEASE_PER_CHUNK, EntryStore
 from repro.timing.costs import (
     FN_COMPOUND_HEAD,
     FN_COPY_ONE_PTE,
@@ -98,6 +103,25 @@ class TestEntryStoreRoundTrip:
         for row in again:
             assert not store.row_view(row).any()
 
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_batch_release_zeroes_only_its_rows(self, data):
+        # A batch large enough to be zeroed per chunk, spanning chunks.
+        store = EntryStore()
+        rows = [store.acquire() for _ in range(CHUNK_ROWS + 64)]
+        for row in rows:
+            store.row_view(row)[:] = np.uint64(row + 1)
+        picked = data.draw(st.lists(st.sampled_from(rows), unique=True,
+                                    min_size=RELEASE_PER_CHUNK,
+                                    max_size=3 * RELEASE_PER_CHUNK))
+        store.release(picked)
+        released = set(picked)
+        for row in rows:
+            view = store.row_view(row)
+            assert (not view.any()) if row in released else (view == row + 1).all()
+        # Recycled in release order: the last released comes back first.
+        assert store.acquire() == picked[-1]
+
     def test_chunk_growth_keeps_views_alive(self):
         store = EntryStore()
         first = store.acquire()
@@ -119,6 +143,50 @@ class TestVectorizedPredicates:
         pfns = entry_pfn(arr)
         for i, e in enumerate(arr):
             assert int(pfns[i]) == int(entry_pfn(e))
+
+
+def _mixed_entries(seed, n_rows, all_present):
+    """A ``(n_rows, 512)`` matrix of present, huge, swap and absent
+    entries with random attribute and high bits (present and huge only
+    when ``all_present``)."""
+    rng = np.random.default_rng(seed)
+    shape = (n_rows, 512)
+    bits = rng.integers(0, 2**64, shape, dtype=np.uint64, endpoint=False)
+    kind = rng.integers(0, 2 if all_present else 4, shape)
+    present = bits | BIT_PRESENT
+    matrix = np.where(kind == 0, present & ~BIT_PS, present | BIT_PS)
+    swap = (bits & ~BIT_PRESENT) | BIT_SWAP
+    matrix = np.where(kind == 2, swap, matrix)
+    return np.where(kind == 3, bits & ~BIT_PRESENT & ~BIT_SWAP, matrix)
+
+
+class TestPresentPfns:
+    """The fused present/pfn pass vs ``present_mask`` + ``entry_pfn``."""
+
+    @staticmethod
+    def _check(entries):
+        before = entries.copy()
+        present, pfns = present_pfns(entries)
+        expected = present_mask(entries)
+        assert present.dtype == bool and np.array_equal(present, expected)
+        assert pfns.dtype == np.int64
+        assert np.array_equal(pfns,
+                              entry_pfn(entries[expected]).astype(np.int64))
+        assert np.array_equal(entries, before)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 4),
+           all_present=st.booleans(), low_byte_first=st.booleans())
+    def test_matches_mask_and_entry_pfn(self, seed, n_rows, all_present,
+                                        low_byte_first):
+        matrix = _mixed_entries(seed, n_rows, all_present)
+        with pytest.MonkeyPatch.context() as patch:
+            # False forces the fallback a big-endian host takes.
+            patch.setattr(entries_module, "LOW_BYTE_FIRST", low_byte_first)
+            self._check(matrix)
+            self._check(matrix[0])           # one table's row view
+            self._check(matrix[:, ::3])      # non-contiguous last axis
+        assert present_mask(matrix).all() or not all_present
 
 
 class TestSliceRangeEquivalence:

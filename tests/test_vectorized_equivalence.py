@@ -270,6 +270,61 @@ def populate_flow(machine):
     return [(proc, regions)]
 
 
+def smp_flow(machine):
+    # Two scheduled fork_flow rounds with direct fills, forks, odforks and
+    # exits around them.  Only a running scheduler refuses the fast path,
+    # so the direct calls engage and must leave the per-event state.
+    from repro.smp.ops import fork_flow
+
+    sched = machine.smp
+    procs = [machine.spawn_process(f"p{i}") for i in range(2)]
+    # p0's heap straddles the first 1 GiB boundary of the mmap area, so
+    # its forks copy two PMD tables.
+    pad = procs[0].mmap(GIB - 2 * MIB)
+    sizes = (6 * MIB, 8 * MIB)
+    bufs = [proc.mmap(size) for proc, size in zip(procs, sizes)]
+    procs[0].munmap(pad, GIB - 2 * MIB)
+    for proc, addr, size in zip(procs, bufs, sizes):
+        proc.touch_range(addr, size, write=True)
+        proc.write(addr + 99, proc.name.encode())
+
+    def fork_round(use_odf):
+        tasks = [sched.spawn(f"fork-{i}", fork_flow(sched, q, use_odf=use_odf),
+                             mm=q.mm)
+                 for i, q in enumerate(procs)]
+        sched.run()
+        return [task.result["child"] for task in tasks]
+
+    first = fork_round(use_odf=False)
+    first[0].write(bufs[0] + 99, b"c0")
+    # The direct child lives to the end, so its leaf tables' packed rows
+    # are part of the layout the allocator-parity test compares.
+    direct = procs[0].fork("direct")
+    direct.write(bufs[0] + 2 * MIB, b"direct")
+    shared = procs[1].odfork("shared")
+    shared.write(bufs[1] + 4 * MIB, b"cow")
+    for child in first:
+        child.exit()
+    extra = procs[1].mmap(4 * MIB)
+    procs[1].touch_range(extra, 4 * MIB, write=True)
+    second = fork_round(use_odf=True)
+    second[1].write(extra + 5, b"od")
+    procs[1].fork("brief").exit()
+    counts = machine.metrics.collect("fastpath")
+    if machine.kernel.fastpath:
+        # Fills of 3 + 4 + 2 slots, two direct forks, and the exits of
+        # the first round's children (p0's holds two PMD tables, p1's
+        # one) and of the brief child.
+        assert (counts["fill_engaged"], counts["fork_engaged"],
+                counts["exit_engaged"]) == (9, 2, 4)
+    return [(procs[0], [(bufs[0], sizes[0])]),
+            (procs[1], [(bufs[1], sizes[1]), (extra, 4 * MIB)]),
+            (direct, [(bufs[0], sizes[0])]),
+            (shared, [(bufs[1], sizes[1])]),
+            (second[0], [(bufs[0], sizes[0])]),
+            (second[1], [(bufs[1], sizes[1]), (extra, 4 * MIB)])]
+
+
 # ---------------------------------------------------------------------- #
 # golden per-event fingerprints (see module docstring for reseed policy)
 
@@ -283,6 +338,7 @@ GOLDEN = {
     "odfork_rss": "c5d53577a932c124",
     "populate": "3e8c12c5fd62bd89",
     "populate_swap": "8dc4bab8d49acb23",
+    "smp": "b9cb6fe09eff5744",
 }
 
 
@@ -322,12 +378,25 @@ class TestFastPathEquivalence:
     def test_populate_flow_allocator_parity(self, swap_mb):
         # The batched fill keeps each slot's allocator calls in the
         # per-slot order; a reordering would hand out other frames.
-        layouts = set()
-        for fastpath in (True, False):
-            machine = Machine(fastpath=fastpath, phys_mb=64, swap_mb=swap_mb)
-            populate_flow(machine)
-            layouts.add(physical_layout(machine))
-        assert len(layouts) == 1
+        _assert_same_layout(populate_flow, phys_mb=64, swap_mb=swap_mb)
+
+    def test_smp_flow(self):
+        run_paired(smp_flow, GOLDEN["smp"], phys_mb=128, smp=2,
+                   noise_sigma=0.04, seed=17)
+
+    def test_smp_flow_allocator_parity(self):
+        # Fork and exit keep their buddy calls per slot and their leaf
+        # tables' packed rows in the per-slot order.
+        _assert_same_layout(smp_flow, phys_mb=128, smp=2)
+
+
+def _assert_same_layout(scenario, **machine_kwargs):
+    layouts = set()
+    for fastpath in (True, False):
+        machine = Machine(fastpath=fastpath, **machine_kwargs)
+        scenario(machine)
+        layouts.add(physical_layout(machine))
+    assert len(layouts) == 1
 
 
 @pytest.fixture
@@ -479,9 +548,43 @@ class TestEngagementCounters:
         if reason == "tracing":
             with recording(machine):
                 proc.touch_range(addr, 4 * MIB, write=True)
+        elif reason == "smp":
+            # "smp" names a running scheduler: fill from a scheduled task.
+            def fill():
+                proc.touch_range(addr, 4 * MIB, write=True)
+                yield from ()
+            machine.smp.spawn("fill", fill(), mm=proc.mm)
+            machine.smp.run()
         else:
             proc.touch_range(addr, 4 * MIB, write=True)
         assert machine.metrics.collect("fastpath") == {
             "fill_engaged": 0, "fork_engaged": 0, "exit_engaged": 0,
             "odfork_rss_copied": 0, f"fill_bailed.{reason}": 2,
+        }
+
+    def test_smp_refuses_only_while_running(self):
+        # Only a running scheduler can interpose between slots: a fill,
+        # fork and exit between runs engage; the same work from a
+        # scheduled task refuses on "smp".
+        machine = Machine(phys_mb=64, smp=2)
+        proc = machine.spawn_process("p")
+        idle = proc.mmap(8 * MIB)
+        busy = proc.mmap(8 * MIB)
+
+        def script(addr):
+            proc.touch_range(addr, 8 * MIB, write=True)   # 4 slots
+            proc.fork("child").exit()                    # 1 fork, 1 table
+            proc.wait()
+
+        def flow():
+            script(busy)
+            yield from ()
+
+        script(idle)
+        machine.smp.spawn("busy", flow(), mm=proc.mm)
+        machine.smp.run()
+        assert machine.metrics.collect("fastpath") == {
+            "fill_engaged": 4, "fork_engaged": 1, "exit_engaged": 1,
+            "odfork_rss_copied": 0, "fill_bailed.smp": 4,
+            "fork_bailed.smp": 1, "exit_bailed.smp": 1,
         }
