@@ -83,14 +83,16 @@ class Snapshot:
                 "snapshot requires an unshared address space"
             )
         kernel.cost.charge_syscall()
+        # Refuse before write-protecting anything: a refusal must leave
+        # every PTE (and so every cached translation) as it was.
+        if any(is_huge(entry) for *_, entry in iter_parent_slots(mm)):
+            raise InvalidArgumentError(
+                "snapshot over huge mappings is not supported"
+            )
         snapshot = cls(kernel, mm)
         drop_rw = np.uint64(~BIT_RW)
         try:
             for pmd_table, pmd_index, slot_start, entry in iter_parent_slots(mm):
-                if is_huge(entry):
-                    raise InvalidArgumentError(
-                        "snapshot over huge mappings is not supported"
-                    )
                 leaf = mm.resolve(int(entry_pfn(entry)))
                 if kernel.pages.pt_ref(leaf.pfn) > 1:
                     # Unshare proactively: restore must own its tables.
@@ -109,10 +111,12 @@ class Snapshot:
                 kernel.swap_dup_entries(saved)
                 kernel.cost.charge("snapshot_save_table", SNAPSHOT_PER_TABLE_NS)
         except BaseException:
-            # A mid-walk failure (an unsharing copy hitting OOM, or an
-            # unsupported mapping) must not leak the page and slot
-            # references already taken for the partial snapshot.
+            # A mid-walk failure (an unsharing copy hitting OOM) must not
+            # leak the page and slot references already taken for the
+            # partial snapshot, nor leave writable translations cached
+            # for the entries it already write-protected.
             snapshot.discard()
+            kernel.tlbs.shootdown_mm(mm)
             raise
         # Snapshot save write-protects COW-able entries: stale writable
         # translations must go from every CPU running this mm.

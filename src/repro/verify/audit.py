@@ -17,7 +17,13 @@ from collections import defaultdict
 import numpy as np
 
 from ..errors import KernelBug
-from ..mem.page import HUGE_PAGE_ORDER, PG_ANON, PG_FILE, PG_PAGETABLE
+from ..mem.page import (
+    HUGE_PAGE_ORDER,
+    PAGE_SHIFT,
+    PG_ANON,
+    PG_FILE,
+    PG_PAGETABLE,
+)
 from ..paging import (
     entry_pfn,
     is_huge,
@@ -161,6 +167,7 @@ def audit_machine(machine):
         errors += _audit_swap(kernel, seen_leaf_tables)
         errors += _audit_rmap_and_lru(kernel, pages, seen_leaf_tables)
     errors += _audit_pt_sharers(kernel, expected_pt_refs, live_mms)
+    errors += _audit_tlbs(machine, live_mms)
     errors += _audit_smp(machine)
     if kernel.numa is not None:
         errors += _audit_numa(machine)
@@ -326,6 +333,40 @@ def _audit_pt_sharers(kernel, expected_pt_refs, live_mms):
     for leaf_pfn in kernel.pt_sharers:
         if leaf_pfn not in expected:
             errors.append(f"pt_sharers tracks dead leaf table {leaf_pfn}")
+    return errors
+
+
+def _audit_tlbs(machine, live_mms):
+    """Every cached translation must match a side-effect-free walk: the
+    same pfn, and writable only where the walk is writable.
+
+    Covers each live mm's own TLB and every vCPU view of a live mm.  A
+    mismatch is a missing flush: a stale pfn reads freed memory, and a
+    stale write permission lets a write skip its COW fault.
+    """
+    kernel = machine.kernel
+    views = [(f"mm {i}", mm, mm.tlb) for i, mm in enumerate(live_mms)]
+    if kernel.smp is not None:
+        live = {id(mm): i for i, mm in enumerate(live_mms)}
+        views += [(f"cpu{v.id} view of mm {live[id(v.tlb_mm)]}", v.tlb_mm,
+                   v.tlb)
+                  for v in kernel.smp.vcpus
+                  if v.tlb_mm is not None and id(v.tlb_mm) in live]
+    probe = kernel.walker.probe
+    errors = []
+    for where, mm, tlb in views:
+        for vpn, cached in tlb.cached():
+            vaddr = vpn << PAGE_SHIFT
+            walk = probe(mm.pgd, vaddr)
+            if walk is None or walk.pfn != cached.pfn:
+                errors.append(
+                    f"{where}: stale TLB entry at {vaddr:#x} caches pfn "
+                    f"{cached.pfn}, the walk gives "
+                    f"{None if walk is None else walk.pfn}")
+            elif cached.writable and not walk.writable:
+                errors.append(
+                    f"{where}: stale TLB write permission at {vaddr:#x} "
+                    f"(pfn {cached.pfn}); the walk is read-only")
     return errors
 
 

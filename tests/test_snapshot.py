@@ -106,6 +106,25 @@ class TestRestrictions:
         with pytest.raises(InvalidArgumentError):
             p.snapshot()
 
+    def test_refused_snapshot_leaves_ptes_and_tlb_alone(self, machine):
+        """A huge slot above written 4 KiB pages: the refusal must not
+        write-protect the pages below it behind the TLB's back."""
+        p = machine.spawn_process("snap-refused")
+        buf = p.mmap(3 * 4096)
+        p.touch_range(buf, 3 * 4096, write=False)
+        p.write(buf + 2 * 4096, b"x")            # cached writable
+        huge = p.mmap_huge(2 * MIB)
+        p.touch_range(huge, 2 * MIB, write=True)
+        before = [leaf.entries.copy() for _, _, leaf in p.mm.leaf_tables()]
+        with pytest.raises(InvalidArgumentError):
+            p.snapshot()
+        after = [leaf.entries for _, _, leaf in p.mm.leaf_tables()]
+        assert len(after) == len(before)
+        for old, new in zip(before, after):
+            assert (old == new).all()
+        assert machine.kernel.live_snapshots == []
+        audit_machine(machine)
+
     def test_shared_mm_rejected(self, machine):
         p = machine.spawn_process("snap-shared")
         addr, _ = make_filled_region(p, size=1 * MIB)
