@@ -78,6 +78,10 @@ class SnapshotCoordinator:
         self._pending = self._build_schedule()
         self._active = None
         self._last_release_ns = 0
+        #: Replicas shedding traffic to a neighbour right now: the active
+        #: sub-wave's, from its grant request until its forks return
+        #: (always empty unless the strategy is ``drain``).
+        self.draining = ()
         self.waves_completed = 0
         self.subwaves_completed = 0
         self.subwaves_skipped = 0
@@ -129,8 +133,7 @@ class SnapshotCoordinator:
                 sub.grant_ns = grant
                 self._active = sub
                 if self.drains:
-                    for r in sub.replicas:
-                        self.fleet.replicas[r].draining = True
+                    self.draining = tuple(sub.replicas)
                 if self.fleet.fleet_trace(grant):
                     points.tracepoint("snap.wave_start",
                                       wave=sub.wave, sub=sub.index,
@@ -149,9 +152,7 @@ class SnapshotCoordinator:
                 self.max_block_ns = max(self.max_block_ns, block)
             self.fleet.dlm.release(EPOCH_LOCK, sub.owner, end_max)
             self._last_release_ns = end_max
-            if self.drains:
-                for r in sub.replicas:
-                    self.fleet.replicas[r].draining = False
+            self.draining = ()
             if self.fleet.fleet_trace(end_max):
                 points.tracepoint("snap.wave_end",
                                   dur_ns=end_max - sub.grant_ns,

@@ -23,7 +23,7 @@ from __future__ import annotations
 from ..errors import InvalidArgumentError
 from ..trace import points
 
-#: One direction's running tallies live under these keys.
+#: The two directions: ``transfer``/``stats`` keys and ``Nic`` attributes.
 TX = "tx"
 RX = "rx"
 
@@ -79,7 +79,9 @@ class Nic:
         self.warn_queue_ns = int(warn_queue_us * 1_000)
         self.retransmit_ns = int(retransmit_us * 1_000)
         self.failpoints = failpoints
-        self._dirs = {TX: _Direction(), RX: _Direction()}
+        self.tx = _Direction()
+        self.rx = _Direction()
+        self._occupancy = {}          # nbytes -> occupancy_ns(nbytes)
 
     def occupancy_ns(self, nbytes):
         """Time ``nbytes`` occupies the wire at this NIC's bandwidth."""
@@ -93,12 +95,15 @@ class Nic:
         queue the earlier ones built (sum-of-resources stays exact, the
         per-message queue split is approximate).
         """
-        if nbytes <= 0:
-            raise InvalidArgumentError("transfer needs a positive size")
-        d = self._dirs[direction]
-        start = max(at_ns, d.free_at_ns)
+        occupy = self._occupancy.get(nbytes)
+        if occupy is None:
+            if nbytes <= 0:
+                raise InvalidArgumentError("transfer needs a positive size")
+            occupy = self._occupancy[nbytes] = self.occupancy_ns(nbytes)
+        is_tx = direction == TX
+        d = self.tx if is_tx else self.rx
+        start = at_ns if at_ns > d.free_at_ns else d.free_at_ns
         queue_ns = start - at_ns
-        occupy = self.occupancy_ns(nbytes)
         d.free_at_ns = start + occupy
         d.messages += 1
         d.bytes += nbytes
@@ -107,14 +112,15 @@ class Nic:
         if queue_ns > self.warn_queue_ns:
             d.load_warnings += 1
         delay = queue_ns + occupy
-        if (direction == TX and self.failpoints is not None
-                and self.failpoints.fails("nic.tx_drop")):
+        failpoints = self.failpoints
+        if (is_tx and failpoints is not None and failpoints.active
+                and failpoints.fails("nic.tx_drop")):
             # Lost frame: the sender eats one retransmit timeout and the
             # message goes out again — delivered late, never dropped.
             d.retransmits += 1
             delay += self.retransmit_ns
         if points.enabled:
-            if direction == TX:
+            if is_tx:
                 points.tracepoint("nic.tx", nic=self.name,
                                   nbytes=nbytes, queue_ns=queue_ns)
             else:
@@ -125,7 +131,7 @@ class Nic:
     def stats(self, direction=None):
         """Tallies for one direction, or both nested under ``tx``/``rx``."""
         if direction is not None:
-            d = self._dirs[direction]
+            d = getattr(self, direction)
             return {
                 "messages": d.messages,
                 "bytes": d.bytes,
@@ -140,9 +146,9 @@ class Nic:
         """Fraction of ``horizon_ns`` the direction spent transmitting."""
         if horizon_ns <= 0:
             return 0.0
-        return self._dirs[direction].busy_ns / horizon_ns
+        return getattr(self, direction).busy_ns / horizon_ns
 
     def __repr__(self):
         return (f"Nic({self.name!r}, {self.gbps} Gb/s, "
-                f"tx_msgs={self._dirs[TX].messages}, "
-                f"rx_msgs={self._dirs[RX].messages})")
+                f"tx_msgs={self.tx.messages}, "
+                f"rx_msgs={self.rx.messages})")

@@ -39,7 +39,6 @@ class Replica:
         self.store.save_enabled = False
         self.ready_at_ns = 0          # fleet time the server next frees
         self.snap_busy_until_ns = 0   # end of the last snapshot block
-        self.draining = False
         self.served = 0
         self.snapshots = 0
         self._completions = deque()   # fleet-time completion stamps

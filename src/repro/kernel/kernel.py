@@ -1132,8 +1132,9 @@ class Kernel:
         first = addr & ~(PAGE_SIZE - 1)
         last = addr + length - 1
         n_pages = ((last - first) // PAGE_SIZE) + 1
+        translate = self._translate_for_access
         for i in range(n_pages):
-            self._translate_for_access(task, first + i * PAGE_SIZE, is_write)
+            translate(task, first + i * PAGE_SIZE, is_write)
         return n_pages
 
     def mem_read(self, task, addr, length):

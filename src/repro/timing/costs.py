@@ -250,9 +250,12 @@ class CostModel:
         if self.noise is not None:
             ns = self.noise.perturb(ns)
         ns = int(round(ns))
-        self.clock.advance(ns)
-        if self.profiler is not None:
-            self.profiler.add(fn_name, ns)
+        # ``SimClock.advance`` and ``Profiler.add`` inlined: ``ns`` is
+        # already a non-negative int (noise factors are lognormal).
+        self.clock._now_ns += ns
+        profiler = self.profiler
+        if profiler is not None and profiler.enabled:
+            profiler._totals[fn_name] += ns
         return ns
 
     def charge_many(self, fn_ids, ns_values, fn_table):
