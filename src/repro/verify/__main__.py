@@ -102,9 +102,10 @@ def main(argv=None):
                         help="arm every recorded hit of every site")
     parser.add_argument("--fleet", action="store_true",
                         help="run the cluster fault-injection leg: arm "
-                             "each fleet fail-point site over a small "
-                             "fleet campaign and assert conserved "
-                             "accounting, clean audits, clean teardown")
+                             "each fleet fail-point site over small "
+                             "staggered and drain fleet campaigns and "
+                             "assert conserved accounting, clean audits, "
+                             "clean teardown")
     parser.add_argument("--faas", action="store_true",
                         help="run the serverless-farm leg: unarmed "
                              "baseline, fork-vs-odfork differential over "
@@ -207,7 +208,8 @@ def main(argv=None):
         hard_findings += len(fleet_findings)
         for finding in fleet_findings[:8]:
             print(f"FAIL fleet: {finding}")
-        print(f"  fleet leg: {fleet_meta['runs']} campaigns, "
+        print(f"  fleet leg: {fleet_meta['runs']} campaigns "
+              f"{fleet_meta['campaigns']}, "
               f"{fleet_meta['sampled_out']} recorded hits sampled out, "
               f"{len(fleet_findings)} findings "
               f"(sites: {fleet_meta['sites']})")
