@@ -208,18 +208,15 @@ class OpenLoopClient:
 class WrkClient:
     """wrk: fixed-duration closed-loop HTTP load (paper §5.3.5).
 
-    Unlike the single-threaded KV store, a prefork server has far more
-    workers than the client has connections, so requests never queue
-    behind one another: the reported latency is each request's service
-    time (what wrk measures per connection), while the virtual clock still
-    advances through every request to pace the session.
+    Unlike the single-threaded KV store, a prefork server has more workers
+    than wrk has connections, so requests never queue behind one another:
+    the model sends them to ``server`` one at a time, reports each one's
+    service time as its latency (what wrk measures per connection), and
+    lets the virtual clock advance through every request to pace the run.
     """
 
-    def __init__(self, server, connections=8, seed=23):
-        if connections <= 0:
-            raise InvalidArgumentError("connections must be positive")
+    def __init__(self, server, seed=23):
         self.server = server
-        self.connections = connections
         self._rng = np.random.RandomState(seed)
 
     def run_duration(self, seconds):

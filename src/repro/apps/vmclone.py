@@ -64,7 +64,6 @@ class VirtualMachine:
         emulator_mb = resident_mb - guest_ram_mb
         self.emulator_heap = self.proc.mmap(emulator_mb * MIB, name="qemu-heap")
         self.proc.populate(self.emulator_heap, emulator_mb * MIB)
-        self.boots = 1
 
     def run_guest_syscalls(self, proc, data, coverage_cb):
         """Decode ``data`` into guest syscalls and emulate them in ``proc``.

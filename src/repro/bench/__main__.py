@@ -180,6 +180,7 @@ def main(argv=None):
         ]
         payload.append(_harness_table(timings, time.time() - run_started,
                                       smoke=args.smoke))
+        payload.append(_host_memory_table())
         with open(args.json, "w") as handle:
             json.dump(payload, handle, indent=2)
         print(f"wrote {len(payload)} result tables to {args.json}")
@@ -202,6 +203,19 @@ def _harness_table(timings, total_s, smoke):
             "headers": ["metric", "seconds"], "rows": rows,
             "notes": "host time; everything else in this payload is "
                      "virtual-clock deterministic"}
+
+
+def _host_memory_table():
+    """A pseudo-table of the process's *host* peak RSS (report-only).
+
+    ``ru_maxrss`` is in KiB on Linux.
+    """
+    import resource
+    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return {"exp_id": "host-memory", "title": "Bench harness peak RSS (host)",
+            "headers": ["metric", "mb"],
+            "rows": [["peak_rss_mb", round(peak_kib / 1024, 1)]],
+            "notes": "host memory; nothing gates on it"}
 
 
 def _jsonable(cell):

@@ -82,7 +82,6 @@ class SnapshotCoordinator:
         #: sub-wave's, from its grant request until its forks return
         #: (always empty unless the strategy is ``drain``).
         self.draining = ()
-        self.waves_completed = 0
         self.subwaves_completed = 0
         self.subwaves_skipped = 0
         self.max_block_ns = 0
@@ -161,7 +160,6 @@ class SnapshotCoordinator:
                                                    default=0))
             self.subwaves_completed += 1
             self._active = None
-            self.waves_completed = self._count_waves()
             # Loop: the next sub-wave may already be due at ``now_ns``.
 
     def _count_waves(self):
@@ -179,7 +177,6 @@ class SnapshotCoordinator:
         their interval push later grants past any horizon fixed up front.
         """
         self.pump(math.inf)
-        self.waves_completed = self._count_waves()
 
     def stats(self):
         return {

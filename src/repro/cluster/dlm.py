@@ -16,9 +16,9 @@ multiple locks only in ascending name order (violations raise the same
 exception type covers both layers).
 
 The ``dlm.acquire_timeout`` fail-point models a lock master that never
-answers: ``acquire`` charges the timeout and returns ``None``; the caller
-(the snapshot coordinator) skips that epoch cleanly and retries at the
-next scheduled wave.
+answers: ``acquire`` abandons the request at no cost and returns
+``None``; the caller (the snapshot coordinator) skips that sub-wave
+cleanly and its replicas snapshot at the next scheduled wave.
 """
 
 from __future__ import annotations
@@ -47,12 +47,10 @@ class _NamedLock:
 class Dlm:
     """Fleet-wide named locks with FIFO grants and analytic timing."""
 
-    def __init__(self, acquire_rtt_us=20.0, timeout_us=200.0,
-                 failpoints=None):
-        if acquire_rtt_us < 0 or timeout_us < 0:
+    def __init__(self, acquire_rtt_us=20.0, failpoints=None):
+        if acquire_rtt_us < 0:
             raise InvalidArgumentError("DLM costs cannot be negative")
         self.acquire_ns = int(acquire_rtt_us * 1_000)
-        self.timeout_ns = int(timeout_us * 1_000)
         self.failpoints = failpoints
         self._locks = {}
         self._held = {}          # owner -> set of lock names
@@ -73,7 +71,8 @@ class Dlm:
         holder's release, in request order (calls arrive in fleet-time
         order, so chaining off ``free_at_ns`` *is* FIFO).  Returns ``None``
         when the ``dlm.acquire_timeout`` fail-point fires — the request is
-        charged the timeout and abandoned, leaving the lock untouched.
+        abandoned at no cost, leaving the lock untouched, and the caller
+        (the snapshot coordinator) skips that sub-wave.
         """
         held = self._held.setdefault(owner, set())
         if name in held:

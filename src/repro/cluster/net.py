@@ -142,12 +142,6 @@ class Nic:
             }
         return {TX: self.stats(TX), RX: self.stats(RX)}
 
-    def utilization(self, direction, horizon_ns):
-        """Fraction of ``horizon_ns`` the direction spent transmitting."""
-        if horizon_ns <= 0:
-            return 0.0
-        return getattr(self, direction).busy_ns / horizon_ns
-
     def __repr__(self):
         return (f"Nic({self.name!r}, {self.gbps} Gb/s, "
                 f"tx_msgs={self.tx.messages}, "

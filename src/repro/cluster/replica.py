@@ -38,7 +38,6 @@ class Replica:
         # Snapshots are fleet-coordinated, never store-triggered.
         self.store.save_enabled = False
         self.ready_at_ns = 0          # fleet time the server next frees
-        self.snap_busy_until_ns = 0   # end of the last snapshot block
         self.served = 0
         self.snapshots = 0
         self._completions = deque()   # fleet-time completion stamps
@@ -97,7 +96,6 @@ class Replica:
         block_ns = clock.now_ns - before
         end_ns = at_ns + block_ns
         self.ready_at_ns = max(self.ready_at_ns, end_ns)
-        self.snap_busy_until_ns = end_ns
         self.snapshots += 1
         return block_ns
 

@@ -78,7 +78,6 @@ class ConsistentHashStriper:
             raise InvalidArgumentError("need at least one virtual node")
         self.n_replicas = n_replicas
         self.seed = seed
-        self.vnodes = vnodes
         self._ring = []            # sorted (position, replica)
         self._positions = []       # positions only, for bisect
         for replica in range(n_replicas):

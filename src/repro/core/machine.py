@@ -62,11 +62,10 @@ class Machine:
     """A simulated host: hardware model + kernel + process table."""
 
     def __init__(self, phys_mb=4096, cost_params=None, noise_sigma=0.0,
-                 seed=0, n_cores=16, swap_mb=0, smp=None, sanitize=None,
-                 numa=None, fastpath=True):
+                 seed=0, swap_mb=0, smp=None, sanitize=None, numa=None,
+                 fastpath=True):
         if phys_mb <= 0:
             raise ConfigurationError("machine needs physical memory")
-        self.n_cores = int(n_cores)
         n_frames = int(phys_mb) * MIB // PAGE_SIZE
         self.clock = SimClock()
         self.profiler = Profiler()

@@ -472,6 +472,10 @@ def _bulk_cow(kernel, mm, leaf, lo_index, sub, ro_mask, events):
         "bulk_cow_copy",
         n * (params.fault_base + params.page_alloc + params.page_copy_4k * warmth),
     )
+    if kernel.numa is not None:
+        # Per source page, as the per-event COW charges it.
+        for pfn in src.tolist():
+            kernel.charge_numa_copy(pfn)
     events["cow_pages"] += n
 
 
@@ -484,7 +488,7 @@ def _access_huge_slot(kernel, mm, vma, pmd_table, pmd_index, slot_start,
     if not is_present(entry):
         kernel.failpoints.hit("bulkops.huge_alloc")
         head = kernel.alloc_huge_frame(mm)
-        kernel.pages.on_alloc_compound(head, HUGE_PAGE_ORDER, PG_ANON)
+        kernel.pages.on_alloc_compound(head, PG_ANON)
         pmd_table.entries[pmd_index] = _entries_for(
             np.uint64(head), vma.writable, dirty=is_write) | BIT_PS
         kernel.note_table_write(pmd_table)
@@ -503,7 +507,7 @@ def _access_huge_slot(kernel, mm, vma, pmd_table, pmd_index, slot_start,
             return
         kernel.failpoints.hit("bulkops.huge_cow")
         new_head = kernel.alloc_huge_frame(mm)
-        kernel.pages.on_alloc_compound(new_head, HUGE_PAGE_ORDER, PG_ANON | PG_DIRTY)
+        kernel.pages.on_alloc_compound(new_head, PG_ANON | PG_DIRTY)
         for sub_pfn in range(1 << HUGE_PAGE_ORDER):
             if kernel.phys.is_materialized(head + sub_pfn):
                 kernel.phys.copy_frame(head + sub_pfn, new_head + sub_pfn)

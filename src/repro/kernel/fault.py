@@ -404,8 +404,7 @@ class FaultHandler:
                 return
             kernel.failpoints.hit("fault.huge_cow")
             new_head = kernel.alloc_huge_frame(mm)
-            kernel.pages.on_alloc_compound(new_head, HUGE_PAGE_ORDER,
-                                           PG_ANON | PG_DIRTY)
+            kernel.pages.on_alloc_compound(new_head, PG_ANON | PG_DIRTY)
             for sub in range(1 << HUGE_PAGE_ORDER):
                 if kernel.phys.is_materialized(head + sub):
                     kernel.phys.copy_frame(head + sub, new_head + sub)
@@ -449,7 +448,7 @@ class FaultHandler:
         if not is_present(entry):
             kernel.failpoints.hit("fault.huge_alloc")
             head = kernel.alloc_huge_frame(mm)
-            kernel.pages.on_alloc_compound(head, HUGE_PAGE_ORDER, PG_ANON)
+            kernel.pages.on_alloc_compound(head, PG_ANON)
             kernel.cost.charge_page_alloc()
             kernel.cost.charge_bulk_copy(HUGE_PAGE_SIZE)  # zeroing 2 MiB
             pmd_table.set(pmd_index, make_entry(

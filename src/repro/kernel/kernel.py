@@ -611,7 +611,6 @@ class Kernel:
             # Correlated per-invocation overrun (see NoiseModel docs).
             self.clock.advance((self.clock.now_ns - start_ns) * noise.syscall_jitter())
         task.last_fork_ns = self.clock.now_ns - start_ns
-        task.fork_count += 1
         if points.enabled:
             points.tracepoint("fork.invoke", dur_ns=task.last_fork_ns,
                               pid=task.pid, child_pid=child.pid, odf=use_odf)
@@ -904,12 +903,13 @@ class Kernel:
         return Snapshot.create(self, task)
 
     def khugepaged(self, policy=None):
-        """The THP promotion daemon (created on first use)."""
+        """The THP promotion daemon (created on first use); a given
+        ``policy`` replaces the daemon's."""
         from .thp import Khugepaged
         if self._khugepaged is None:
-            self._khugepaged = Khugepaged(self, policy=policy or "madvise")
-        elif policy is not None:
-            self._khugepaged.policy = policy
+            self._khugepaged = Khugepaged(self)
+        if policy is not None:
+            self._khugepaged.set_policy(policy)
         return self._khugepaged
 
     @acquires("mmap_lock")
@@ -1086,7 +1086,7 @@ class Kernel:
         walk and the data access are distance-weighted.
         """
         tr = self.walker.translate(mm.pgd, addr, is_write)
-        tlb.insert(addr, tr.pfn, tr.writable, tr.huge)
+        tlb.insert(addr, tr.pfn, tr.writable)
         if self.numa is not None:
             self._charge_numa_walk(mm, tr.pfn)
         return tr.pfn

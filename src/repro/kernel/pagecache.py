@@ -27,16 +27,10 @@ class PageCache:
         self._phys = phys
         self._failpoints = failpoints
         self._cache = {}
-        self.lookups = 0
         self.fills = 0
 
     def __len__(self):
         return len(self._cache)
-
-    def lookup(self, file, page_index):
-        """Return the cached pfn, or ``None`` on a cache miss."""
-        self.lookups += 1
-        return self._cache.get((file.inode, page_index))
 
     def get_page(self, file, page_index):
         """Return the pfn for a file page, filling the cache on miss.
@@ -47,7 +41,6 @@ class PageCache:
         """
         key = (file.inode, page_index)
         pfn = self._cache.get(key)
-        self.lookups += 1
         if pfn is not None:
             return pfn
         if self._failpoints is not None:

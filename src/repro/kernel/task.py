@@ -37,7 +37,6 @@ class Task:
         # Bookkeeping mirrored from Redis's `latest_fork_usec` and similar
         # application-visible metrics.
         self.last_fork_ns = None
-        self.fork_count = 0
 
     @property
     def alive(self):

@@ -80,11 +80,13 @@ def add_at(column, index, delta):
 
 
 class PageStructArray:
-    """Per-frame metadata: refcounts, flags, and compound-page linkage.
+    """Per-frame metadata: refcounts, flags, and the PTE-table refcount.
 
     All vectors are allocated with ``np.zeros`` which commits memory lazily,
     so configuring a machine with tens of millions of frames costs only what
-    is actually touched.
+    is actually touched.  Compound pages are always order
+    :data:`HUGE_PAGE_ORDER`: the head and tail flags are all the linkage
+    the model needs.
     """
 
     def __init__(self, n_frames):
@@ -94,9 +96,6 @@ class PageStructArray:
         self.refcount = np.zeros(self.n_frames, dtype=np.int32)
         self.pt_refcount = np.zeros(self.n_frames, dtype=np.int32)
         self.flags = np.zeros(self.n_frames, dtype=np.uint16)
-        self.compound_order = np.zeros(self.n_frames, dtype=np.int8)
-        # compound_head[pfn] is the head pfn for tail pages, -1 otherwise.
-        self.compound_head = np.full(self.n_frames, -1, dtype=np.int64)
 
     # ---- single-frame helpers (used by page tables and small paths) ----
 
@@ -146,11 +145,6 @@ class PageStructArray:
         """Whether all of ``flag_bits`` are set."""
         return bool(self.flags[pfn] & flag_bits)
 
-    def resolve_compound_head(self, pfn):
-        """Return the head pfn of the compound page containing ``pfn``."""
-        head = int(self.compound_head[pfn])
-        return pfn if head < 0 else head
-
     # ---- bulk (vectorised) operations used by fork and teardown ---------
 
     def ref_inc_bulk(self, pfns):
@@ -177,8 +171,6 @@ class PageStructArray:
             raise KernelBug(f"allocating pfn {pfn} with live refcount")
         self.refcount[pfn] = 1
         self.flags[pfn] = flag_bits
-        self.compound_order[pfn] = 0
-        self.compound_head[pfn] = -1
 
     def on_alloc_bulk(self, pfns, flag_bits):
         """Initialise metadata for many fresh order-0 allocations."""
@@ -186,44 +178,29 @@ class PageStructArray:
             raise KernelBug("bulk-allocating frames with live refcounts")
         self.refcount[pfns] = 1
         self.flags[pfns] = flag_bits
-        self.compound_order[pfns] = 0
-        self.compound_head[pfns] = -1
 
-    def on_alloc_compound(self, head_pfn, order, flag_bits):
-        """Initialise a compound page: head carries the order, tails link back."""
-        n = 1 << order
-        span = np.arange(head_pfn, head_pfn + n)
+    def on_alloc_compound(self, head_pfn, flag_bits):
+        """Initialise a 2 MiB compound page: the head holds the reference,
+        the tails carry only their flag."""
+        span = slice(head_pfn, head_pfn + (1 << HUGE_PAGE_ORDER))
         if np.any(self.refcount[span] != 0):
             raise KernelBug("allocating compound page over live frames")
+        self.flags[span] = flag_bits | PG_COMPOUND_TAIL
         self.refcount[head_pfn] = 1
         self.flags[head_pfn] = flag_bits | PG_COMPOUND_HEAD
-        self.compound_order[head_pfn] = order
-        tails = span[1:]
-        self.flags[tails] = flag_bits | PG_COMPOUND_TAIL
-        self.compound_head[tails] = head_pfn
 
     def on_free(self, pfn):
         """Reset metadata when a frame (or compound head) is freed."""
-        order = int(self.compound_order[pfn])
+        span = pfn
         if self.flags[pfn] & PG_COMPOUND_HEAD:
-            span = np.arange(pfn, pfn + (1 << order))
-            self.flags[span] = 0
-            self.compound_head[span] = -1
-            self.compound_order[span] = 0
-            self.refcount[span] = 0
-            self.pt_refcount[span] = 0
-        else:
-            self.flags[pfn] = 0
-            self.compound_head[pfn] = -1
-            self.compound_order[pfn] = 0
-            self.refcount[pfn] = 0
-            self.pt_refcount[pfn] = 0
+            span = slice(pfn, pfn + (1 << HUGE_PAGE_ORDER))
+        self.flags[span] = 0
+        self.refcount[span] = 0
+        self.pt_refcount[span] = 0
 
     def on_free_bulk(self, pfns):
         """Reset metadata for many order-0 frames at once."""
         self.flags[pfns] = 0
-        self.compound_head[pfns] = -1
-        self.compound_order[pfns] = 0
         self.refcount[pfns] = 0
         self.pt_refcount[pfns] = 0
 

@@ -161,10 +161,3 @@ class MitosisState:
     def replica_frame_count(self):
         """Total replica frames currently allocated."""
         return len(self.replica_of)
-
-    def node_replica_counts(self):
-        """Replica frames per node (for the per-node audit)."""
-        counts = [0] * self.topology.nodes
-        for rpfn in self.replica_of:
-            counts[self.kernel.allocator.node_of(rpfn)] += 1
-        return counts

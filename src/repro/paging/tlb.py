@@ -43,7 +43,6 @@ class TLBEntry:
     """One cached translation."""
     pfn: int
     writable: bool
-    huge: bool = False
 
 
 class TLB:
@@ -71,14 +70,14 @@ class TLB:
         self.stats.hits += 1
         return entry
 
-    def insert(self, vaddr, pfn, writable, huge=False):
+    def insert(self, vaddr, pfn, writable):
         """Cache a completed translation (FIFO eviction)."""
         vpn = vaddr >> PAGE_SHIFT
         cache = self._entries
         if len(cache) >= self.capacity and vpn not in cache:
             cache.popitem(last=False)         # FIFO: the oldest insertion
             self.stats.evictions += 1
-        cache[vpn] = TLBEntry(pfn, writable, huge)
+        cache[vpn] = TLBEntry(pfn, writable)
 
     def flush_all(self):
         """Invalidate every cached translation."""

@@ -75,12 +75,14 @@ class MMUFault(ReproError):
 
 @dataclass
 class Translation:
-    """A successful walk result."""
+    """A successful walk result: the 4 KiB frame and its permission.
+
+    Under a 2 MiB entry ``pfn`` is the sub-page's frame, so callers never
+    need to know which level mapped it.
+    """
 
     pfn: int                # physical frame of the 4 KiB page
     writable: bool          # effective permission across all levels
-    huge: bool              # mapped by a PMD-level 2 MiB entry
-    leaf_level: int         # LEVEL_PTE or LEVEL_PMD
 
 
 class Walker:
@@ -125,7 +127,7 @@ class Walker:
                 head = (entry & _PFN_MASK) >> _PFN_SHIFT
                 sub = (vaddr >> 12) & _SUB_MASK
                 self.path = path
-                return Translation(head + sub, writable, True, LEVEL_PMD)
+                return Translation(head + sub, writable)
             if level == LEVEL_PTE:
                 if is_write and not writable:
                     raise MMUFault(vaddr, is_write, level, FAULT_WRITE_PROTECTED)
@@ -134,8 +136,7 @@ class Walker:
                     if want != entry:
                         entries[index] = want
                 self.path = path
-                return Translation((entry & _PFN_MASK) >> _PFN_SHIFT,
-                                   writable, False, LEVEL_PTE)
+                return Translation((entry & _PFN_MASK) >> _PFN_SHIFT, writable)
             if set_accessed and not entry & _A:
                 entries[index] = entry | _A
             table = resolve((entry & _PFN_MASK) >> _PFN_SHIFT)

@@ -58,10 +58,6 @@ class PatternGenerator:
         cold = self._rng.randint(hot_pages, max(hot_pages + 1, self.n_pages), size=n)
         return np.where(is_hot, hot, cold)
 
-    def page_to_addr(self, base, page_indices):
-        """Byte addresses (page starts) for an index array."""
-        return base + page_indices.astype(np.int64) * PAGE_SIZE
-
 
 def touch_pages(process, base, page_indices, write, bytes_per_touch=64):
     """Touch each listed page once through the fast access path."""

@@ -24,6 +24,7 @@ from repro.numa import (
     NumaAllocator,
     NumaTopology,
 )
+from repro.timing.costs import FN_NUMA_ACCESS
 from repro.verify.audit import audit_machine
 
 
@@ -283,6 +284,36 @@ class TestDistanceCharging:
                 p.touch(buf, n_pages * PAGE_SIZE)
             remote[label] = machine.kernel.stats.numa_remote_accesses - before
         assert remote == {"smp": n_pages, "mem_touch": n_pages}
+
+    @pytest.mark.parametrize("flavour", ["fork", "odfork"])
+    def test_bulk_cow_charges_remote_copies_like_per_page(self, flavour):
+        """A child's COW of node-1 pages from a node-0 CPU pays one remote
+        copy per page, in count and in time, whether ``touch_range`` or a
+        per-page ``touch`` loop makes the writes."""
+        size = 4 * MIB
+        charged = {}
+        for path in ("touch_range", "touch"):
+            machine = Machine(phys_mb=256, numa=NumaTopology(nodes=2))
+            p = machine.spawn_process("p")
+            buf = p.mmap(size)
+            with machine.kernel.pin_to_node(1):
+                p.touch_range(buf, size, write=True)
+            child = p.odfork() if flavour == "odfork" else p.fork()
+            stats, profiler = machine.kernel.stats, machine.profiler
+
+            def remote():
+                return (stats.numa_remote_accesses,
+                        profiler.breakdown([FN_NUMA_ACCESS])[FN_NUMA_ACCESS])
+
+            before = remote()
+            if path == "touch_range":
+                child.touch_range(buf, size, write=True)
+            else:
+                for page in range(size // PAGE_SIZE):
+                    child.touch(buf + page * PAGE_SIZE, 1, write=True)
+            charged[path] = tuple(a - b for a, b in zip(remote(), before))
+        assert charged["touch_range"] == charged["touch"]
+        assert charged["touch"][0] == size // PAGE_SIZE
 
     def test_flat_machine_charges_no_numa_penalty(self):
         machine = Machine(phys_mb=64)

@@ -29,7 +29,7 @@ class TestSingleOps:
         pages.on_alloc(5, PG_ANON)
         assert pages.get_ref(5) == 1
         assert pages.has_flags(5, PG_ANON)
-        assert pages.resolve_compound_head(5) == 5
+        assert not pages.has_flags(5, PG_COMPOUND_HEAD | PG_COMPOUND_TAIL)
 
     def test_double_alloc_detected(self, pages):
         pages.on_alloc(5, PG_ANON)
@@ -73,29 +73,49 @@ class TestSingleOps:
 
 class TestCompoundPages:
     def test_compound_structure(self, pages):
-        pages.on_alloc_compound(512, HUGE_PAGE_ORDER, PG_ANON)
-        assert pages.has_flags(512, PG_COMPOUND_HEAD)
-        assert pages.compound_order[512] == HUGE_PAGE_ORDER
+        pages.on_alloc_compound(512, PG_ANON)
+        assert pages.has_flags(512, PG_COMPOUND_HEAD | PG_ANON)
+        assert not pages.has_flags(512, PG_COMPOUND_TAIL)
         for tail in (513, 700, 1023):
-            assert pages.has_flags(tail, PG_COMPOUND_TAIL)
-            assert pages.resolve_compound_head(tail) == 512
+            assert pages.has_flags(tail, PG_COMPOUND_TAIL | PG_ANON)
+            assert not pages.has_flags(tail, PG_COMPOUND_HEAD)
+        # The span is exactly one order-9 block.
+        assert pages.flags[511] == 0 and pages.flags[1024] == 0
 
     def test_compound_refcount_on_head_only(self, pages):
-        pages.on_alloc_compound(512, HUGE_PAGE_ORDER, PG_ANON)
+        pages.on_alloc_compound(512, PG_ANON)
         assert pages.get_ref(512) == 1
         assert pages.get_ref(513) == 0
+        assert pages.live_frames() == 1
 
     def test_compound_free_clears_span(self, pages):
-        pages.on_alloc_compound(1024, HUGE_PAGE_ORDER, PG_ANON)
+        span = np.arange(1024, 1024 + (1 << HUGE_PAGE_ORDER))
+        pages.on_alloc_compound(1024, PG_ANON)
+        pages.pt_refcount[1500] = 1
         pages.on_free(1024)
-        assert pages.flags[1024] == 0
-        assert pages.flags[1500] == 0
-        assert pages.compound_head[1500] == -1
+        assert (pages.flags[span] == 0).all()
+        assert (pages.refcount[span] == 0).all()
+        assert (pages.pt_refcount[span] == 0).all()
 
     def test_compound_over_live_frames_detected(self, pages):
         pages.on_alloc(600, PG_ANON)
         with pytest.raises(KernelBug):
-            pages.on_alloc_compound(512, HUGE_PAGE_ORDER, PG_ANON)
+            pages.on_alloc_compound(512, PG_ANON)
+        assert pages.get_ref(512) == 0
+        assert pages.flags[512] == 0
+
+
+class TestFreshArray:
+    def test_fresh_columns_all_zero(self):
+        """A fresh array's every per-frame column is zero, so the columns
+        commit no host memory for frames that are never touched."""
+        pages = PageStructArray(4096)
+        columns = {name: value for name, value in vars(pages).items()
+                   if isinstance(value, np.ndarray)}
+        assert {"refcount", "pt_refcount", "flags"} <= set(columns)
+        for name, column in columns.items():
+            assert len(column) == pages.n_frames, name
+            assert not column.any(), name
 
 
 class TestBulkOps:

@@ -69,7 +69,6 @@ class TestExit:
         baseline = machine.live_data_frames()
         p = machine.spawn_process("short-lived")
         addr, _ = make_filled_region(p, size=4 * MIB)
-        p.fork_count = 0
         p.exit()
         machine.init_process.wait()
         assert machine.live_data_frames() == baseline

@@ -136,6 +136,19 @@ class TestKhugepaged:
         p, addr = thp_ready_process(machine)
         assert machine.run_khugepaged(p, max_promotions=2) == 2
 
+    def test_bad_policy_refused_on_every_call(self, machine):
+        """An unknown policy is the caller's error, before and after the
+        daemon exists, and never replaces the daemon's policy."""
+        p, addr = thp_ready_process(machine)
+        with pytest.raises(InvalidArgumentError):
+            machine.run_khugepaged(p, policy="bogus")
+        assert machine.run_khugepaged(p, policy="never") == 0
+        with pytest.raises(InvalidArgumentError):
+            machine.run_khugepaged(p, policy="bogus")
+        assert machine.kernel.khugepaged().policy == "never"
+        assert machine.run_khugepaged(p) == 0
+        assert machine.run_khugepaged(p, policy="madvise") == 4
+
 
 class TestTHPLifecycle:
     def test_cow_after_promotion(self, machine):

@@ -62,8 +62,8 @@ class TestTranslation:
         tr = walker.translate(pgd, VADDR, is_write=False)
         assert tr.pfn == 777
         assert tr.writable
-        assert not tr.huge
-        assert tr.leaf_level == LEVEL_PTE
+        # Four tables visited: the leaf is a PTE.
+        assert len(walker.path) == 4
 
     def test_not_present_faults(self):
         pgd, tables, _, pte = build_tree(VADDR, leaf_pfn=777)
@@ -109,8 +109,9 @@ class TestTranslation:
         pgd, tables, _, _ = build_tree(VADDR, leaf_pfn=head, huge=True)
         walker = Walker(tables.__getitem__)
         tr = walker.translate(pgd, VADDR, is_write=True)
-        assert tr.huge
-        assert tr.leaf_level == LEVEL_PMD
+        assert tr.writable
+        # The walk stops at the PMD: three tables visited.
+        assert len(walker.path) == 3
         # Sub-page offset within the compound page.
         assert tr.pfn == head + ((VADDR >> 12) & 511)
 
