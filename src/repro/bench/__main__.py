@@ -37,7 +37,9 @@ from . import (
     table6_7,
     thp_bench,
 )
-from .runner import print_result
+from ..core.machine import fastpath_census
+from ..kernel.fastpath import FASTPATH_ENGAGED
+from .runner import ExperimentResult, print_result
 
 
 def _quickable(module_run):
@@ -148,11 +150,14 @@ def main(argv=None):
 
     collected = []
     timings = []
+    census = []
     run_started = time.time()
     try:
         for exp_id in selected:
             started = time.time()
-            result = experiments[exp_id](args.full)
+            with fastpath_census() as counts:
+                result = experiments[exp_id](args.full)
+            census.append((exp_id, counts))
             results = result if isinstance(result, tuple) else (result,)
             for item in results:
                 print_result(item)
@@ -169,6 +174,7 @@ def main(argv=None):
             n = write_chrome_trace(events, args.trace)
             print(f"wrote {n} trace entries to {args.trace} "
                   f"({tracer.emitted} emitted, {tracer.dropped} dropped)")
+    collected.append(print_result(_fastpath_table(census)))
     if args.json:
         import json
         payload = [
@@ -187,13 +193,35 @@ def main(argv=None):
     return 0
 
 
+def _fastpath_table(census):
+    """Which path ran: each experiment's fast-path counters, summed over
+    every Machine it built.
+
+    ``bailed`` adds up every ``<op>_bailed.<reason>`` count; the notes
+    name the reasons.  The perf gate holds the fig7 and faas rows to
+    exact counts (:mod:`repro.bench.compare`).
+    """
+    rows = []
+    reasons = []
+    for exp_id, counts in census:
+        bails = {key: n for key, n in sorted(counts.items())
+                 if "_bailed." in key}
+        rows.append([exp_id, *(counts[key] for key in FASTPATH_ENGAGED),
+                     sum(bails.values())])
+        reasons += [f"{exp_id} {key}={n}" for key, n in bails.items()]
+    return ExperimentResult(
+        exp_id="fastpath", title="Fast-path engagement (counted)",
+        headers=["experiment", *FASTPATH_ENGAGED, "bailed"], rows=rows,
+        notes="; ".join(reasons) or "no bails")
+
+
 def _harness_table(timings, total_s, smoke):
     """A pseudo-table of *host* wall-clock seconds for the --json payload.
 
-    Unlike every other tracked number this one is real time, not virtual
-    time — it is what the perf gate watches to catch the analytic fast
-    path silently disengaging (``bench.smoke_wall_s``).  Per-experiment
-    timings ride along for triage.
+    Unlike every other number in the payload this one is real time, not
+    virtual time, so it is a report: nothing gates on it.  Whether the
+    analytic fast path engaged is gated exactly on the ``fastpath``
+    table instead.  Per-experiment timings ride along for triage.
     """
     rows = [[f"{exp_id}_wall_s", round(seconds, 3)]
             for exp_id, seconds in timings]

@@ -11,18 +11,22 @@ against ``benchmarks/baseline.json``:
 * the ext-reclaim fork-server p99 under 2x overcommit,
 * the fleet-wide p99 under staggered odfork snapshot waves,
 * the 100 GB-heap odfork point (fig7 showcase row, smoke only),
-* the total smoke wall-clock in *host* seconds (``bench.smoke_wall_s``).
+* which path ran: the fast-path engagement counts of the fig7 and faas
+  experiments (the ``fastpath`` table; fig7's include the 100 GB
+  showcase machine).
 
-A metric *regresses* when it moves in its bad direction (latencies up,
-speedups down) by more than ``--threshold`` (default 25%).  The virtual
-clock makes these numbers deterministic on every host, so a tight
-threshold is safe: real regressions show up as cost-model or algorithm
-changes, not machine noise.  The sole exception is ``bench.smoke_wall_s``
-— host time, there to catch the analytic fast path silently disengaging
-(which is invisible to virtual-clock metrics: both paths charge identical
-virtual time by construction); being runner-noisy it carries a per-metric
-2x gate instead.  Improvements beyond the threshold are reported (so the
-baseline gets refreshed) but do not fail the gate.
+A latency or ratio *regresses* when it moves in its bad direction
+(latencies up, speedups down) by more than ``--threshold`` (default 25%).
+The virtual clock makes these numbers deterministic on every host, so a
+tight threshold is safe: real regressions show up as cost-model or
+algorithm changes, not machine noise.  Improvements beyond the threshold
+are reported (so the baseline gets refreshed) but do not fail the gate.
+
+The engagement counts are gated exactly: any change fails.  The analytic
+fast path and the per-event walks charge identical virtual time by
+design, so only these counts see the fast path silently disengage.  The
+smoke's host wall-clock (the ``bench`` table) stays in the payload as a
+report; nothing gates on it.
 
 Usage::
 
@@ -41,6 +45,7 @@ DEFAULT_THRESHOLD = 0.25
 
 LOWER_IS_BETTER = "lower"
 HIGHER_IS_BETTER = "higher"
+EXACT = "exact"   # a count: any change regresses
 
 
 @dataclass(frozen=True)
@@ -51,9 +56,20 @@ class Metric:
     exp_id: str        # table the value lives in
     row_match: tuple   # (column header, value) identifying the row
     column: str        # column header of the metric cell
-    direction: str     # LOWER_IS_BETTER / HIGHER_IS_BETTER
-    threshold: float = None   # per-metric gate; None = the global one
+    direction: str     # LOWER_IS_BETTER / HIGHER_IS_BETTER / EXACT
 
+
+#: Which path ran, counted by the kernel (repro.bench's ``fastpath``
+#: table): a fast path that stops engaging moves no virtual-clock number,
+#: only these counts.  A bail moves its unit from engaged to bailed, so
+#: the engaged counts alone catch every one.
+ENGAGEMENT = tuple(
+    Metric(f"fastpath.{column}@{exp_id}", "fastpath", ("experiment", exp_id),
+           column, EXACT)
+    for exp_id in ("fig7", "faas")
+    for column in ("fill_engaged", "fork_engaged", "exit_engaged",
+                   "odfork_rss_copied")
+)
 
 TRACKED = (
     Metric("fig7.fork_ms@1gb", "fig7", ("size_gb", 1), "fork_ms",
@@ -84,15 +100,7 @@ TRACKED = (
     # and shares the 51200 leaf tables vectorised.
     Metric("fig7.odfork_ms@100gb", "fig7", ("size_gb", 100), "odfork_ms",
            LOWER_IS_BETTER),
-    # The one *host-time* metric: total smoke wall-clock.  It exists to
-    # catch the analytic fast path silently disengaging, which no
-    # virtual-clock metric can see — both paths charge identical virtual
-    # time by design.  Host time is runner-noisy (observed ~1.7x
-    # run-to-run spread), so it gates at 2x instead of the tight default;
-    # the per-event fallback blows well past that (the 100 GB showcase
-    # point alone takes minutes per-event vs seconds analytic).
-    Metric("bench.smoke_wall_s", "bench", ("metric", "smoke_wall_s"),
-           "seconds", LOWER_IS_BETTER, threshold=1.0),
+    *ENGAGEMENT,
 )
 
 
@@ -144,12 +152,16 @@ class Delta:
 
     def regressed(self, threshold=None):
         threshold = self.gate if threshold is None else threshold
+        if self.direction == EXACT:
+            return self.current != self.baseline
         if self.direction == LOWER_IS_BETTER:
             return self.ratio > 1.0 + threshold
         return self.ratio < 1.0 - threshold
 
     def improved(self, threshold=None):
         threshold = self.gate if threshold is None else threshold
+        if self.direction == EXACT:
+            return False
         if self.direction == LOWER_IS_BETTER:
             return self.ratio < 1.0 - threshold
         return self.ratio > 1.0 + threshold
@@ -179,23 +191,28 @@ def compare_payloads(current_payload, baseline_values,
             regressions.append(
                 f"{metric.key}: not in baseline (re-seed the baseline)")
             continue
-        gate = threshold if metric.threshold is None else metric.threshold
         delta = Delta(metric.key, metric.direction,
                       float(baseline_values[metric.key]),
-                      current[metric.key], gate=gate)
+                      current[metric.key], gate=threshold)
         deltas.append(delta)
-        if delta.regressed():
-            worse = ("slower" if metric.direction == LOWER_IS_BETTER
-                     else "lower")
+        if not delta.regressed():
+            continue
+        if metric.direction == EXACT:
             regressions.append(
-                f"{delta.key}: {delta.baseline:.4g} -> {delta.current:.4g} "
-                f"({delta.ratio:.2f}x, {worse} than the {gate:.0%} gate)")
+                f"{delta.key}: {delta.baseline:.10g} -> "
+                f"{delta.current:.10g} (counts are gated exactly)")
+            continue
+        worse = "slower" if metric.direction == LOWER_IS_BETTER else "lower"
+        regressions.append(
+            f"{delta.key}: {delta.baseline:.4g} -> {delta.current:.4g} "
+            f"({delta.ratio:.2f}x, {worse} than the {threshold:.0%} gate)")
     return deltas, regressions
 
 
 def format_delta_table(deltas, threshold=DEFAULT_THRESHOLD):
     """The human-readable delta table printed in CI logs."""
-    lines = [f"{'metric':<26} {'baseline':>12} {'current':>12} "
+    width = max([26] + [len(d.key) for d in deltas])
+    lines = [f"{'metric':<{width}} {'baseline':>12} {'current':>12} "
              f"{'ratio':>7}  verdict"]
     for d in deltas:
         if d.regressed():
@@ -204,8 +221,8 @@ def format_delta_table(deltas, threshold=DEFAULT_THRESHOLD):
             verdict = "improved (refresh baseline?)"
         else:
             verdict = "ok"
-        lines.append(f"{d.key:<26} {d.baseline:>12.4g} {d.current:>12.4g} "
-                     f"{d.ratio:>6.2f}x  {verdict}")
+        lines.append(f"{d.key:<{width}} {d.baseline:>12.6g} "
+                     f"{d.current:>12.6g} {d.ratio:>6.2f}x  {verdict}")
     return "\n".join(lines)
 
 
@@ -225,7 +242,7 @@ def format_delta_markdown(deltas, regressions, threshold=DEFAULT_THRESHOLD):
             verdict = ":chart_with_upwards_trend: improved"
         else:
             verdict = ":white_check_mark: ok"
-        lines.append(f"| `{d.key}` | {d.baseline:.4g} | {d.current:.4g} "
+        lines.append(f"| `{d.key}` | {d.baseline:.6g} | {d.current:.6g} "
                      f"| {d.ratio:.2f}x | {verdict} |")
     lines.append("")
     missing = [r for r in regressions if "->" not in r]

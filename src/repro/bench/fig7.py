@@ -40,10 +40,12 @@ def showcase_odfork_ms(noise_sigma=0.04, seed=71, repeats=1):
 
     Feasible at all only because of the vectorised fast path: the fill
     populates 51200 leaf tables (26.2M PTEs) and odfork then shares them
-    at PMD granularity.  The struct-page and buddy vectors for the
-    103 GB machine cost 20 bytes/frame (10 each); page *contents*
-    materialise lazily, so the showcase peaks at 789 MB of host RSS
-    (x86-64 Linux, numpy's default huge-page advice).
+    at PMD granularity.  The per-frame vectors of the 103 GB machine
+    cost 11 bytes/frame (10 of struct page, 1 of buddy allocation
+    order), all zero-initialised, so they commit host memory only where
+    frames are used; the buddy's free-block state is per 4 MiB block,
+    and page *contents* materialise lazily.  The showcase peaks at
+    559 MB of host RSS (x86-64 Linux, numpy's default huge-page advice).
     """
     size_bytes = SHOWCASE_SIZE_GB * GIB
     phys_mb = (SHOWCASE_SIZE_GB + 3) * 1024

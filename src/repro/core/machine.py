@@ -10,6 +10,8 @@ memory is configurable because host-side numpy arrays scale with it).
 from __future__ import annotations
 
 import os
+from collections import Counter
+from contextlib import contextmanager
 
 from ..analysis.profiler import Profiler
 from ..errors import ConfigurationError
@@ -28,6 +30,28 @@ from .process import Process
 
 MIB = 1024 * 1024
 GIB = 1024 * MIB
+
+#: The fast-path counters of the Machines built inside the open
+#: :func:`fastpath_census` block, or ``None`` outside one.
+_census = None
+
+
+@contextmanager
+def fastpath_census():
+    """Add up the ``fastpath`` counters of every Machine built in the block.
+
+    Yields a Counter that holds the totals, taken when the block exits
+    (the benchmark harness reports one per experiment).
+    """
+    global _census
+    outer, _census = _census, []
+    total = Counter()
+    try:
+        yield total
+    finally:
+        for counts in _census:
+            total.update(counts)
+        _census = outer
 
 
 class StatsView:
@@ -104,6 +128,8 @@ class Machine:
         if os.environ.get("REPRO_NO_FASTPATH"):
             fastpath = False
         self.kernel.fastpath = bool(fastpath)
+        if _census is not None:
+            _census.append(self.kernel.fastpath_counts)
         # Opt-in SMP subsystem: ``smp=N`` attaches N virtual CPUs and the
         # deterministic cooperative scheduler; contention then emerges
         # from lock waits and IPIs instead of the fitted alpha fallback.

@@ -100,9 +100,12 @@ from .fork import (
 )
 from .rmap import rmap_add_bulk, rmap_remove_bulk
 from ..sancheck.annotations import acquires, must_hold, tlb_deferred
-from .tableops import drop_table_sharer
-
-_DROP_RW = np.uint64(~BIT_RW)
+from .tableops import (
+    DROP_RW,
+    drop_table_sharer,
+    maps_file_pages,
+    write_protect,
+)
 
 #: The engaged counter of each fast path (see the module docstring).
 FASTPATH_ENGAGED = ("fill_engaged", "fork_engaged", "exit_engaged",
@@ -248,18 +251,6 @@ def _count_flagged(flags, pfns, bit):
     return int(np.count_nonzero(picked))
 
 
-def _write_protect(matrix, cow, all_cow):
-    """Drop RW from the ``cow`` entries of ``matrix``, in place.
-
-    The common whole-table case is one ``&=``; a boolean-mask update
-    would read, mask, and write back every entry.
-    """
-    if all_cow:
-        matrix &= _DROP_RW
-    else:
-        matrix[cow] &= _DROP_RW
-
-
 # ---------------------------------------------------------------------------
 # classic fork
 # ---------------------------------------------------------------------------
@@ -312,6 +303,7 @@ def fast_copy_mm_classic(kernel, parent_mm, child_mm):
     charge_ns = []
     copied = []
     n_huge_total = 0
+    span = PMD_REGION_SIZE * PTRS_PER_TABLE
 
     for pmd, base, leaf_pos, huge_pos, parent_pfns, parents in plan:
         # Upper levels first, then one leaf frame per slot in address
@@ -333,7 +325,7 @@ def fast_copy_mm_classic(kernel, parent_mm, child_mm):
             matrix = store.gather(parent_rows)
             cow = cow_table[leaf_pos]
             all_cow = cow.all()
-            _write_protect(matrix, cow, all_cow)
+            write_protect(matrix, cow, all_cow)
             # Dedicated parent tables get the same write-protect, so their
             # rows are the protected child matrix; shared ones are left
             # alone — their PMD entry already carries RW=0 and the
@@ -351,7 +343,9 @@ def fast_copy_mm_classic(kernel, parent_mm, child_mm):
             counts = _row_counts(pres, len(pfns))
             if len(pfns):
                 pages.ref_inc_bulk(pfns)
-                n_file = _count_flagged(pages.flags, pfns, PG_FILE)
+                n_file = (_count_flagged(pages.flags, pfns, PG_FILE)
+                          if maps_file_pages(parent_mm, base, base + span)
+                          else 0)
                 child_mm.add_rss(n_file, file_backed=True)
                 child_mm.add_rss(len(pfns) - n_file, file_backed=False)
             kernel.swap_dup_entries(matrix.ravel())
@@ -370,7 +364,7 @@ def fast_copy_mm_classic(kernel, parent_mm, child_mm):
             # A huge slot needs COW when its first page does.
             needs = cow_table[huge_pos, 0]
             if needs.any():
-                ents[needs] &= _DROP_RW
+                ents[needs] &= DROP_RW
                 pmd.entries[huge_pos[needs]] = ents[needs]
             child_pmd.entries[huge_pos] = ents
             child_mm.add_rss((1 << HUGE_PAGE_ORDER) * len(huge_pos),

@@ -36,7 +36,7 @@ from ..paging.entries import (
     present_mask,
 )
 from ..paging.table import LEVEL_PTE, PMD_REGION_SIZE
-from ..sancheck.annotations import charge_deferred, must_hold
+from ..sancheck.annotations import charge_deferred, must_hold, tlb_deferred
 from ..trace import points
 
 
@@ -61,6 +61,9 @@ def table_present_pfns(table, lo_index=0, hi_index=PTRS_PER_TABLE):
     pfns = entry_pfn(table.entries[indices]).astype(np.int64)
     return indices, pfns
 
+
+#: ``entry & DROP_RW`` write-protects an entry.
+DROP_RW = np.uint64(~BIT_RW)
 
 _ALL_COW = np.ones(PTRS_PER_TABLE, dtype=bool)
 _NO_COW = np.zeros(PTRS_PER_TABLE, dtype=bool)
@@ -90,11 +93,35 @@ def private_cow_mask(mm, slot_start):
     return mask
 
 
+@tlb_deferred("the fork copies shoot the parent down once per fork")
+@charge_deferred("the fork copies charge copy_one_pte per entry")
+def write_protect(entries, cow_mask, all_cow):
+    """Drop RW from the ``cow_mask`` entries of ``entries``, in place.
+
+    The common whole-table case (``all_cow``) is one ``&=``; a
+    boolean-mask update would read, mask, and write back every entry.
+    """
+    if all_cow:
+        entries &= DROP_RW
+    else:
+        entries[cow_mask] &= DROP_RW
+
+
 def count_file_pages(kernel, pfns):
     """How many of ``pfns`` are page-cache pages (for RSS bookkeeping)."""
     if len(pfns) == 0:
         return 0
     return int(np.count_nonzero(kernel.pages.flags[pfns] & PG_FILE))
+
+
+def maps_file_pages(mm, start, end):
+    """Whether a file-backed VMA overlaps ``[start, end)``.
+
+    Only those map ``PG_FILE`` frames (``repro.verify.audit_machine``
+    checks it), so the fork copies read the page flags for the child's
+    file RSS only where this holds.
+    """
+    return any(vma.is_file_backed for vma in mm.vmas.overlapping(start, end))
 
 
 @charge_deferred("callers charge charge_zap_entries for the batch")
@@ -169,8 +196,10 @@ def copy_shared_pte_table(kernel, mm, pmd_table, pmd_index, slot_start):
     new_table = mm.alloc_table(LEVEL_PTE, copy_of=old_table)
     new_table.copy_entries_from(old_table)
     # Mitosis: populating the fresh (auto-replicated) copy and editing
-    # the original are both full-table coherence events.
+    # the original are both full-table coherence events.  The copy reads
+    # the shared table's frame, as classic fork's does.
     kernel.note_table_write(new_table, PTRS_PER_TABLE)
+    kernel.charge_numa_copy(old_table.pfn)
 
     cow_mask = private_cow_mask(mm, slot_start)
     if cow_mask.any():

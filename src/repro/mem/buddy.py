@@ -7,6 +7,12 @@ and buddy coalescing on free.  Removal of a coalesced buddy from the middle
 of a free list is done lazily (the block is invalidated and skipped when it
 surfaces), which keeps every operation O(log n).
 
+Free-block state is kept per block, not per frame: one dict maps each live
+free block's head pfn to the tag of its free-list entry, so a machine's
+allocator holds a few bytes per 4 MiB block until frames are used.  The
+only per-frame column is the allocation order, one zero-initialised byte
+per frame that commits host memory only where frames are handed out.
+
 Two bulk paths exist because memory-intensive workloads allocate and free
 millions of order-0 frames per run, which must not devolve into millions of
 Python-level operations:
@@ -57,18 +63,20 @@ class BuddyAllocator:
             raise InvalidArgumentError("allocator needs at least one frame")
         self.n_frames = int(n_frames)
         self.free_frames = 0
+        # Per-order LIFO free lists of (head pfn, tag) entries.
         self._free_lists = [[] for _ in range(MAX_ORDER + 1)]
-        # _free_order[pfn] = order if pfn heads a live free block, else -1.
-        self._free_order = np.full(self.n_frames, -1, dtype=np.int8)
-        # Lazy removal needs more than the order check: a pfn can be
+        # Head pfn of every live free block -> the tag of its list entry.
+        # Removal is lazy, so a list may hold stale entries: a pfn can be
         # invalidated and later re-freed at the same order, which would
-        # revalidate its stale list entry (and allow double allocation).
-        # Each insertion therefore carries a unique stamp; an entry is live
-        # only if it carries the pfn's *current* stamp.
-        self._free_stamp = np.zeros(self.n_frames, dtype=np.int64)
+        # revalidate a stale entry (and allow double allocation).  Each
+        # insertion therefore draws a unique stamp, and the tag is
+        # ``stamp << 4 | order``: an entry is live only if its tag is its
+        # pfn's current one, and the low bits give a free buddy's order.
+        self._free_heads = {}
         self._stamp_counter = 0
-        # _alloc_order[pfn] = order if pfn heads a live allocation, else -1.
-        self._alloc_order = np.full(self.n_frames, -1, dtype=np.int8)
+        # _alloc_order[pfn] = order + 1 if pfn heads a live allocation,
+        # else 0 (see allocated_order).
+        self._alloc_order = np.zeros(self.n_frames, dtype=np.int8)
         # Optional KASAN-style interceptor (see repro.sancheck.kasan):
         # when set, frees are poisoned + quarantined instead of returned
         # to the free lists immediately.
@@ -94,28 +102,22 @@ class BuddyAllocator:
 
     def _insert_free(self, pfn, order):
         self._stamp_counter += 1
-        self._free_order[pfn] = order
-        self._free_stamp[pfn] = self._stamp_counter
-        self._free_lists[order].append((pfn, self._stamp_counter))
+        tag = self._stamp_counter << 4 | order
+        self._free_heads[pfn] = tag
+        self._free_lists[order].append((pfn, tag))
         self.free_frames += 1 << order
 
     def _pop_free(self, order):
         """Pop a live block of exactly ``order``, skipping invalidated entries."""
         lst = self._free_lists[order]
+        heads = self._free_heads
         while lst:
-            pfn, stamp = lst.pop()
-            if self._free_order[pfn] == order and self._free_stamp[pfn] == stamp:
-                self._free_order[pfn] = -1
+            pfn, tag = lst.pop()
+            if heads.get(pfn) == tag:
+                del heads[pfn]
                 self.free_frames -= 1 << order
                 return pfn
         return None
-
-    def _invalidate_free(self, pfn, order):
-        """Lazily remove a known-free block (it will be skipped at pop time)."""
-        if self._free_order[pfn] != order:
-            raise KernelBug(f"invalidating pfn {pfn} that is not free at order {order}")
-        self._free_order[pfn] = -1
-        self.free_frames -= 1 << order
 
     # ---- single-block interface ----------------------------------------------
 
@@ -123,18 +125,23 @@ class BuddyAllocator:
         """Allocate a block of ``2**order`` frames; return the head pfn."""
         if not 0 <= order <= MAX_ORDER:
             raise InvalidArgumentError(f"order {order} out of range")
+        heads = self._free_heads
         for o in range(order, MAX_ORDER + 1):
-            pfn = self._pop_free(o)
-            if pfn is None:
-                continue
-            # Split back down, returning upper halves to the free lists.
-            while o > order:
-                o -= 1
-                self._insert_free(pfn + (1 << o), o)
-            self._alloc_order[pfn] = order
-            if points.enabled:
-                points.tracepoint("buddy.alloc", pfn=pfn, order=order)
-            return pfn
+            lst = self._free_lists[o]
+            while lst:
+                pfn, tag = lst.pop()
+                if heads.get(pfn) != tag:
+                    continue  # lazily invalidated entry
+                del heads[pfn]
+                self.free_frames -= 1 << o
+                # Split back down, returning upper halves to the free lists.
+                while o > order:
+                    o -= 1
+                    self._insert_free(pfn + (1 << o), o)
+                self._alloc_order[pfn] = order + 1
+                if points.enabled:
+                    points.tracepoint("buddy.alloc", pfn=pfn, order=order)
+                return pfn
         raise OutOfFramesError(
             f"no free block of order {order} ({self.free_frames} frames free)"
         )
@@ -148,24 +155,28 @@ class BuddyAllocator:
 
     def _free_now(self, pfn, order=None):
         """The real free path (quarantine eviction enters here directly)."""
-        recorded = int(self._alloc_order[pfn])
+        recorded = self._alloc_order.item(pfn) - 1
         if recorded < 0:
             raise KernelBug(f"double free or bad free of pfn {pfn}")
         if order is not None and order != recorded:
             raise KernelBug(f"freeing pfn {pfn} with order {order}, allocated {recorded}")
         order = recorded
-        self._alloc_order[pfn] = -1
+        self._alloc_order[pfn] = 0
         if points.enabled:
             # Bulk paths are deliberately silent: a single event per
             # million-frame free_bulk would still be noise, per-frame
             # events would be the perturbation tracing must not cause.
             points.tracepoint("buddy.free", pfn=pfn, order=order)
-        # Coalesce with free buddies as far as possible.
+        # Coalesce with free buddies as far as possible; the buddy's list
+        # entry goes stale and is skipped when it surfaces.
+        heads = self._free_heads
         while order < MAX_ORDER:
             buddy = pfn ^ (1 << order)
-            if buddy >= self.n_frames or self._free_order[buddy] != order:
+            tag = heads.get(buddy)
+            if tag is None or (tag & 0xF) != order:
                 break
-            self._invalidate_free(buddy, order)
+            del heads[buddy]
+            self.free_frames -= 1 << order
             pfn = min(pfn, buddy)
             order += 1
         self._insert_free(pfn, order)
@@ -213,7 +224,7 @@ class BuddyAllocator:
                 self._insert_free(leftover, o)
                 leftover += 1 << o
         pfns = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-        self._alloc_order[pfns] = 0
+        self._alloc_order[pfns] = 1
         return pfns
 
     def free_bulk(self, pfns):
@@ -232,9 +243,9 @@ class BuddyAllocator:
             for pfn in pfns.tolist():
                 self.sanitizer.intercept_free(pfn, 0)
             return
-        if np.any(self._alloc_order[pfns] != 0):
+        if np.any(self._alloc_order[pfns] != 1):
             raise KernelBug("free_bulk on frames not allocated at order 0")
-        self._alloc_order[pfns] = -1
+        self._alloc_order[pfns] = 0
         heads = np.sort(pfns)
         if int(heads[-1]) - int(heads[0]) == heads.size - 1:
             # Contiguous run: the pairing loop's behaviour is a closed-form
@@ -298,6 +309,10 @@ class BuddyAllocator:
 
     # ---- diagnostics ----------------------------------------------------------
 
+    def allocated_order(self, pfn):
+        """The order of the live allocation ``pfn`` heads, or -1."""
+        return self._alloc_order.item(pfn) - 1
+
     @property
     def used_frames(self):
         """Frames currently allocated."""
@@ -306,17 +321,22 @@ class BuddyAllocator:
     def check_consistency(self):
         """Expensive invariant check used by tests: no frame double-owned."""
         owned = np.zeros(self.n_frames, dtype=bool)
+        heads = self._free_heads
+        live = 0
         for order in range(MAX_ORDER + 1):
-            for pfn, stamp in self._free_lists[order]:
-                if self._free_order[pfn] != order or self._free_stamp[pfn] != stamp:
+            for pfn, tag in self._free_lists[order]:
+                if heads.get(pfn) != tag:
                     continue  # lazily invalidated entry
+                live += 1
                 span = slice(pfn, pfn + (1 << order))
                 if owned[span].any():
                     raise KernelBug(f"free block at {pfn} overlaps another block")
                 owned[span] = True
-        alloc_heads = np.nonzero(self._alloc_order >= 0)[0]
+        if live != len(heads):
+            raise KernelBug("free block without a live free-list entry")
+        alloc_heads = np.nonzero(self._alloc_order)[0]
         for pfn in alloc_heads.tolist():
-            span = slice(pfn, pfn + (1 << int(self._alloc_order[pfn])))
+            span = slice(pfn, pfn + (1 << self.allocated_order(pfn)))
             if owned[span].any():
                 raise KernelBug(f"allocation at {pfn} overlaps a free block")
             owned[span] = True

@@ -6,7 +6,8 @@ contiguous span per NUMA node and runs an unmodified
 0 is the span base).  The facade translates between global and
 zone-local pfns and presents the exact surface the kernel already
 programs against — ``alloc``/``free``/``alloc_bulk``/``free_bulk``/
-``free_frames``/``used_frames``/``check_consistency``/``sanitizer`` —
+``allocated_order``/``free_frames``/``used_frames``/``check_consistency``/
+``sanitizer`` —
 so every existing call site works untouched, while NUMA-aware callers
 pass ``node=`` to place allocations.
 
@@ -34,32 +35,6 @@ from ..trace import points
 _BLOCK = 1 << MAX_ORDER
 
 
-class _AllocOrderView:
-    """Global-pfn view of the per-zone ``_alloc_order`` arrays.
-
-    KASAN reads ``allocator._alloc_order[pfn]`` to learn a block's
-    allocation order before quarantining it; this view routes the lookup
-    to the owning zone (scalar or pfn-array indexing).
-    """
-
-    def __init__(self, numa_allocator):
-        self._numa = numa_allocator
-
-    def __getitem__(self, pfn):
-        numa = self._numa
-        if isinstance(pfn, (int, np.integer)):
-            node = numa.node_of(int(pfn))
-            return numa.zones[node]._alloc_order[int(pfn) - numa.bases[node]]
-        pfns = np.asarray(pfn, dtype=np.int64)
-        out = np.full(pfns.shape, -1, dtype=np.int8)
-        for node, zone in enumerate(numa.zones):
-            base = numa.bases[node]
-            mask = (pfns >= base) & (pfns < base + zone.n_frames)
-            if mask.any():
-                out[mask] = zone._alloc_order[pfns[mask] - base]
-        return out
-
-
 class NumaAllocator:
     """Allocate physical frames from per-node zones with fallback order."""
 
@@ -85,7 +60,6 @@ class NumaAllocator:
         # KASAN interception point; zone sanitizers stay None — poisoning
         # and quarantine happen once, at the facade, on global pfns.
         self.sanitizer = None
-        self._alloc_order = _AllocOrderView(self)
         # Zonelist statistics, mirroring /sys/devices/system/node numastat.
         self.numa_hit = 0
         self.numa_fallback = 0
@@ -143,6 +117,11 @@ class NumaAllocator:
         """The real free path (quarantine eviction enters here directly)."""
         node = self.node_of(pfn)
         self.zones[node]._free_now(int(pfn) - self.bases[node], order)
+
+    def allocated_order(self, pfn):
+        """The order of the live allocation ``pfn`` heads, or -1."""
+        node = self.node_of(pfn)
+        return self.zones[node].allocated_order(int(pfn) - self.bases[node])
 
     # ---- bulk interface --------------------------------------------------
 

@@ -58,7 +58,7 @@ class KasanState:
             self._report(
                 f"double free of pfn {pfn} "
                 f"(block head {self.poisoned[pfn]} already quarantined)")
-        recorded = int(self.allocator._alloc_order[pfn])
+        recorded = self.allocator.allocated_order(pfn)
         if recorded < 0:
             self._report(
                 f"invalid free of pfn {pfn} (not a live allocation head)")

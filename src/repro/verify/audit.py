@@ -62,14 +62,14 @@ def audit_machine(machine):
                 entries = pmd.entries
                 for slot in pmd.present_indices().tolist():
                     entry = entries[slot]
+                    slot_start = (pud_index * LEVEL_SPAN[LEVEL_PGD]
+                                  + pmd_index * LEVEL_SPAN[LEVEL_PUD]
+                                  + slot * LEVEL_SPAN[LEVEL_PMD])
                     if is_huge(entry):
                         expected_page_refs[int(entry_pfn(entry))] += 1
                         n_huge += 1
                         # The huge-PMD fault reuses a sole-owned page with
                         # no VMA check: THP must never map a shared VMA.
-                        slot_start = (pud_index * LEVEL_SPAN[LEVEL_PGD]
-                                      + pmd_index * LEVEL_SPAN[LEVEL_PUD]
-                                      + slot * LEVEL_SPAN[LEVEL_PMD])
                         vma = mm.vmas.find(slot_start)
                         if vma is not None and not (vma.is_hugetlb
                                                     or vma.is_private):
@@ -80,7 +80,7 @@ def audit_machine(machine):
                     expected_pt_refs[leaf_pfn] += 1
                     leaf = mm.resolve(leaf_pfn)
                     seen_leaf_tables[leaf_pfn] = leaf
-                    leaves.append(leaf)
+                    leaves.append((slot_start, leaf))
         errors += _audit_rss(pages, mm, leaves, n_huge)
 
     # Each leaf table *object* owns one reference per present data page.
@@ -181,20 +181,33 @@ def audit_machine(machine):
 def _audit_rss(pages, mm, leaves, n_huge):
     """An mm's RSS counters must equal what its tables map: 512 anon pages
     per huge entry, and one page per present leaf entry, file-backed when
-    the page is ``PG_FILE``."""
+    the page is ``PG_FILE``.  A ``PG_FILE`` page must lie in a file-backed
+    VMA: the fork copies count file RSS only there."""
+    errors = []
     anon = n_huge << HUGE_PAGE_ORDER
     file = 0
-    for leaf in leaves:
+    for slot_start, leaf in leaves:
         entries = leaf.entries
-        pfns = entry_pfn(entries[present_mask(entries)]).astype(np.int64)
-        n_file = int(np.count_nonzero(pages.flags[pfns] & PG_FILE))
+        present = present_mask(entries)
+        pfns = entry_pfn(entries[present]).astype(np.int64)
+        is_file = (pages.flags[pfns] & PG_FILE) != 0
+        n_file = int(np.count_nonzero(is_file))
         file += n_file
         anon += len(pfns) - n_file
-    if (mm.rss_anon_pages, mm.rss_file_pages) == (anon, file):
-        return []
-    return [f"mm of pid {mm.owner_pid}: RSS anon/file "
-            f"{mm.rss_anon_pages}/{mm.rss_file_pages}, walk found "
-            f"{anon}/{file}"]
+        if n_file:
+            for index in np.flatnonzero(present)[is_file].tolist():
+                vaddr = slot_start + (index << PAGE_SHIFT)
+                vma = mm.vmas.find(vaddr)
+                if vma is None or not vma.is_file_backed:
+                    errors.append(
+                        f"mm of pid {mm.owner_pid}: file page "
+                        f"{int(entry_pfn(entries[index]))} mapped at "
+                        f"{vaddr:#x} outside a file mapping")
+    if (mm.rss_anon_pages, mm.rss_file_pages) != (anon, file):
+        errors.append(f"mm of pid {mm.owner_pid}: RSS anon/file "
+                      f"{mm.rss_anon_pages}/{mm.rss_file_pages}, walk found "
+                      f"{anon}/{file}")
+    return errors
 
 
 def _audit_swap(kernel, seen_leaf_tables):

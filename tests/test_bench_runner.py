@@ -1,9 +1,13 @@
 """The experiment plumbing: ExperimentResult and the CLI entry point."""
 
+import json
+
 import pytest
 
+from repro import MIB, Machine
 from repro.bench.runner import ExperimentResult, print_result
 from repro.bench.__main__ import EXPERIMENTS, main
+from repro.core.machine import fastpath_census
 
 
 @pytest.fixture
@@ -58,7 +62,35 @@ class TestCLI:
         assert "compound_head" in out
         assert "regenerated" in out
 
+    def test_json_counts_fast_path_engagement(self, tmp_path, capsys):
+        out = tmp_path / "bench.json"
+        assert main(["table1", "--json", str(out)]) == 0
+        assert "[fastpath] Fast-path engagement" in capsys.readouterr().out
+        table = next(t for t in json.loads(out.read_text())
+                     if t["exp_id"] == "fastpath")
+        assert table["headers"] == ["experiment", "fill_engaged",
+                                    "fork_engaged", "exit_engaged",
+                                    "odfork_rss_copied", "bailed"]
+        assert table["rows"] == [["table1", 1024, 20, 33, 10, 0]]
+        assert table["notes"] == "no bails"
+
     def test_registry_complete(self):
         # 13 paper experiments + fig2-concurrent + fig7-numa +
         # 3 ablations + 6 extensions + the fleet sweep + the faas farm.
         assert len(EXPERIMENTS) == 26
+
+
+class TestFastpathCensus:
+    def test_sums_every_machine_built_in_the_block(self):
+        with fastpath_census() as counts:
+            for fastpath in (True, False):
+                machine = Machine(phys_mb=64, fastpath=fastpath)
+                proc = machine.spawn_process("p")
+                buf = proc.mmap(4 * MIB)
+                proc.touch_range(buf, 4 * MIB, write=True)
+                proc.fork()
+        Machine(phys_mb=64).spawn_process("outside").fork()
+        assert counts["fork_engaged"] == 1
+        assert counts["fork_bailed.disabled"] == 1
+        assert counts["fill_engaged"] == 2
+        assert counts["fill_bailed.disabled"] == 2

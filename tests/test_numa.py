@@ -16,6 +16,7 @@ from repro import MIB, Machine, OutOfMemoryError
 from repro.errors import ConfigurationError, InvalidArgumentError
 from repro.mem.buddy import MAX_ORDER, OutOfFramesError
 from repro.mem.page import PAGE_SIZE
+from repro.paging.table import PMD_REGION_SIZE
 from repro.numa import (
     POLICY_BIND,
     POLICY_FIRST_TOUCH,
@@ -289,7 +290,9 @@ class TestDistanceCharging:
     def test_bulk_cow_charges_remote_copies_like_per_page(self, flavour):
         """A child's COW of node-1 pages from a node-0 CPU pays one remote
         copy per page, in count and in time, whether ``touch_range`` or a
-        per-page ``touch`` loop makes the writes."""
+        per-page ``touch`` loop makes the writes.  After odfork the child
+        also copies each shared leaf table, one remote copy per 2 MiB
+        slot (classic fork paid for its table copies at fork time)."""
         size = 4 * MIB
         charged = {}
         for path in ("touch_range", "touch"):
@@ -313,7 +316,8 @@ class TestDistanceCharging:
                     child.touch(buf + page * PAGE_SIZE, 1, write=True)
             charged[path] = tuple(a - b for a, b in zip(remote(), before))
         assert charged["touch_range"] == charged["touch"]
-        assert charged["touch"][0] == size // PAGE_SIZE
+        table_copies = size // PMD_REGION_SIZE if flavour == "odfork" else 0
+        assert charged["touch"][0] == size // PAGE_SIZE + table_copies
 
     def test_flat_machine_charges_no_numa_penalty(self):
         machine = Machine(phys_mb=64)

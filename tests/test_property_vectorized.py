@@ -293,14 +293,14 @@ class TestContiguousFreeEquivalence:
     @staticmethod
     def _snap(a):
         return (a.free_frames, [list(l) for l in a._free_lists],
-                a._free_order.tolist(), a._free_stamp.tolist(),
-                a._stamp_counter, a._alloc_order.tolist())
+                dict(a._free_heads), a._stamp_counter,
+                a._alloc_order.tolist())
 
     @staticmethod
     def _generic_free(a, pfns):
         """The pre-analytic pairing loop, verbatim, as the reference."""
         heads = np.sort(np.asarray(pfns, dtype=np.int64))
-        a._alloc_order[heads] = -1
+        a._alloc_order[heads] = 0
         order = 0
         while order < MAX_ORDER and heads.size > 1:
             step = 1 << order

@@ -422,7 +422,8 @@ class TestMachineStats:
 def _payload(fork_ms=7.0, odfork_ms=0.1, speedup=70.0, fault_ms=0.003,
              huge_ms=0.2, odf_fault_ms=0.012, p99=960.0,
              fleet_p99=0.12, numa_speedup=30.0, odf_100gb_ms=1.8,
-             wall_s=12.0, faas_p99=88.0, faas_density=490.0):
+             wall_s=12.0, faas_p99=88.0, faas_density=490.0,
+             fig7_fills=58880):
     return [
         {"exp_id": "fig7", "title": "fig7",
          "headers": ["size_gb", "fork_ms", "fork_huge_ms", "odfork_ms",
@@ -468,6 +469,12 @@ def _payload(fork_ms=7.0, odfork_ms=0.1, speedup=70.0, fault_ms=0.003,
                   ["numa-replicated", 2.6, 0.09, numa_speedup,
                    221.0, 341.0, 1.5]],
          "notes": ""},
+        {"exp_id": "fastpath", "title": "fastpath",
+         "headers": ["experiment", "fill_engaged", "fork_engaged",
+                     "exit_engaged", "odfork_rss_copied", "bailed"],
+         "rows": [["fig7", fig7_fills, 40, 344, 21, 0],
+                  ["faas", 74, 1015, 2036, 1015, 0]],
+         "notes": "no bails"},
     ]
 
 
@@ -487,16 +494,23 @@ class TestCompareGate:
         assert "fig7.fork_ms@1gb" in regressions[0]
         assert "2.00x" in regressions[0]
 
-    def test_wall_clock_and_100gb_point_gate(self):
-        # The two fast-path sentinels: host wall-clock and the 100 GB
-        # odfork showcase row both fail the gate when they blow up.
+    def test_engagement_counts_and_100gb_point_gate(self):
+        # The fast-path sentinels: an engagement count that moves either
+        # way, by a single unit, fails the gate, and so does a blown-up
+        # 100 GB odfork showcase row.  Host wall-clock is a report only.
         base = compare.extract_all(_payload())
-        _, regressions = compare.compare_payloads(
-            _payload(wall_s=30.0), base)
-        assert any("bench.smoke_wall_s" in r for r in regressions)
+        for fills in (58879, 58881):
+            _, regressions = compare.compare_payloads(
+                _payload(fig7_fills=fills), base)
+            assert regressions == [
+                f"fastpath.fill_engaged@fig7: 58880 -> {fills} "
+                f"(counts are gated exactly)"]
         _, regressions = compare.compare_payloads(
             _payload(odf_100gb_ms=9.0), base)
         assert any("fig7.odfork_ms@100gb" in r for r in regressions)
+        _, regressions = compare.compare_payloads(
+            _payload(wall_s=300.0), base)
+        assert regressions == []
 
     def test_speedup_is_higher_is_better(self):
         base = compare.extract_all(_payload())
