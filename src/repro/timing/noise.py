@@ -61,7 +61,10 @@ class NoiseModel:
             return ns
         if self._pos >= len(self._buffer):
             self._refill()
-        factor = self._buffer[self._pos]
+        # ``item`` hands back a Python float: the product is the same
+        # IEEE double, and ``charge`` rounds it several times faster than
+        # a numpy scalar.
+        factor = self._buffer.item(self._pos)
         self._pos += 1
         return ns * factor
 
