@@ -150,11 +150,13 @@ FASTPATH_HANDLED = {
             "its fresh pages with one rmap_add_bulk at their per-slot "
             "homes, so the LRU gets them in the per-slot order",
     "swap": "fork duplicates swap entries via swap_dup_entries; exit "
-            "releases each dead table's swap entries with swap_put_entries "
-            "after that table's free_bulk and before its frame is freed, the "
-            "per-event order, and bails only when a slot the batch releases "
-            "caches a frame the batch also unmaps; a fill run only builds "
-            "fresh tables, which hold no swap entries",
+            "drops every dead table's slot references with one "
+            "swap_put_rows and releases each slot whose last reference "
+            "went after the free_bulk of the table holding that reference "
+            "and before its frame is freed, where that table's "
+            "swap_put_entries call releases it, and bails only when a slot "
+            "the batch releases caches a frame the batch also unmaps; a "
+            "fill run only builds fresh tables, which hold no swap entries",
     "reclaim": "_fork_headroom_ok proves the copy (or the fill run) "
                "finishes above wm_low, so neither kswapd nor direct reclaim "
                "can engage; exit only frees frames",
@@ -453,7 +455,8 @@ def fast_exit_release_pmd_table(kernel, mm, pmd_table, table_base):
     # ---- read-only analysis (a bail-out must mutate nothing) ------------
     dead_tables = []
     surviving = None
-    leaf_pfns = dead_pfns = all_pfns = counts = matrix = has_swap = None
+    leaf_pfns = dead_pfns = all_pfns = counts = matrix = None
+    has_swap = False
     if len(leaf_positions):
         leaf_pfns = entry_pfn(entries[leaf_positions]).astype(np.int64)
         refs = pages.pt_refcount[leaf_pfns]
@@ -472,8 +475,8 @@ def fast_exit_release_pmd_table(kernel, mm, pmd_table, table_base):
             return False
         if kernel.swap is not None:
             swapped = swap_mask(matrix)
-            has_swap = swapped.any(axis=1)
-            if has_swap.any() and _slot_release_frees_unmapped(
+            has_swap = bool(swapped.any())
+            if has_swap and _slot_release_frees_unmapped(
                     kernel, matrix[swapped], all_pfns):
                 count_bail(kernel, "exit", "swap_release")
                 return False
@@ -503,11 +506,12 @@ def fast_exit_release_pmd_table(kernel, mm, pmd_table, table_base):
         n_dead = len(dead_tables)
         offsets = np.zeros(n_dead + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
-        # Reverse mappings first: eligibility reads page flags, which the
-        # bulk free below resets.
-        rmap_remove_bulk(kernel, all_pfns)
-        # all_pfns is duplicate-free (the has_duplicates bail), so one
-        # gather and one scatter decrement every page exactly once.
+        # all_pfns is duplicate-free (the has_duplicates bail), so the
+        # mapcount update needs no proof of its own, and one gather and
+        # one scatter decrement every page exactly once.  Reverse
+        # mappings first: eligibility reads page flags, which the bulk
+        # free below resets.
+        rmap_remove_bulk(kernel, all_pfns, _unique=True)
         newrefs = pages.refcount.take(all_pfns)
         newrefs -= 1
         pages.refcount[all_pfns] = newrefs
@@ -531,13 +535,17 @@ def fast_exit_release_pmd_table(kernel, mm, pmd_table, table_base):
                 raise KernelBug(
                     "file page refcount dropped to zero outside the cache")
             pages.on_free_bulk(zeroed)
+        # One swap-map decrement covers every dead table; each slot whose
+        # last reference goes is released at the table that held it.
+        released = (kernel.swap_put_rows(matrix) if has_swap
+                    else [()] * n_dead)
         # Only buddy calls stay in the per-table loop: buddy coalescing is
         # call-local, so their order is allocator state.  Each table's
-        # pages go first, then its swap slots (a slot's last reference
-        # frees its swap-cache frame), then the table frame, as in the
-        # per-event walk.
+        # pages go first, then its released swap slots (a slot's last
+        # reference frees its swap-cache frame), then the table frame, as
+        # in the per-event walk.
         allocator = kernel.allocator
-        swapped_rows = [] if has_swap is None else has_swap.tolist()
+        release_swap_slot = kernel.release_swap_slot
         for i, table_pfn in enumerate(dead):
             lo, hi = zeroed_at[i], zeroed_at[i + 1]
             if hi > lo:
@@ -546,8 +554,8 @@ def fast_exit_release_pmd_table(kernel, mm, pmd_table, table_base):
                 # duplicate-free (the has_duplicates bail), so passing it
                 # unsorted reaches the identical allocator state.
                 allocator.free_bulk(zeroed[lo:hi])
-            if swapped_rows and swapped_rows[i]:
-                kernel.swap_put_entries(matrix[i])
+            for slot in released[i]:
+                release_swap_slot(slot)
             allocator.free(table_pfn, 0)
         # Each dead table's only sharer is this mm.
         unshared = kernel.pt_sharers.pop

@@ -31,6 +31,7 @@ from ..errors import BusError, KernelBug, OutOfMemoryError, SegmentationFault
 from ..mem.page import (
     HUGE_PAGE_ORDER,
     HUGE_PAGE_SIZE,
+    PAGE_SHIFT,
     PAGE_SIZE,
     PG_ANON,
     PG_DIRTY,
@@ -39,17 +40,21 @@ from ..mem.page import (
 from ..paging.entries import (
     BIT_DIRTY,
     BIT_RW,
+    INT_DIRTY,
+    INT_PFN_MASK,
+    INT_PRESENT,
+    INT_PS,
+    INT_RW,
+    INT_SWAP,
     entry_pfn,
     is_huge,
     is_present,
-    is_swap_entry,
     is_writable,
     make_entry,
-    swap_entry_slot,
 )
 import numpy as np
 
-from ..paging.table import LEVEL_PTE, level_base, table_index
+from ..paging.table import LEVEL_PTE, PMD_REGION_SIZE, level_base
 from ..paging.walk import MMUFault
 from .fork import fault_lock_key
 from .rmap import rmap_add, rmap_remove
@@ -73,7 +78,7 @@ def swap_in_entry(kernel, mm, vma, leaf, pte_index, is_write):
     stay read-only (the exclusivity check below), so cache content never
     diverges from slot content and writes COW away normally.
     """
-    slot = int(swap_entry_slot(leaf.entries[pte_index]))
+    slot = (leaf.entries.item(pte_index) & INT_PFN_MASK) >> PAGE_SHIFT
     kernel.cost.charge_swap_cache_lookup()
     pfn = kernel.swap_cache.pfn_of(slot)
     cache_hit = pfn is not None
@@ -196,29 +201,32 @@ class FaultHandler:
 
     @must_hold("mmap_lock", "ptl")
     def _handle_normal(self, mm, vma, vaddr, is_write):
+        # Entries are read with ndarray.item and tested as ints, as
+        # Walker.translate does: a np.uint64 op costs ~10x an int op.
         kernel = self.kernel
         pmd_table, pmd_index = mm.walk_to_pmd(vaddr, alloc=True)
-        pmd_entry = pmd_table.entries[pmd_index]
-        slot_start = level_base(vaddr, 2)
+        pmd_entry = pmd_table.entries.item(pmd_index)
+        slot_start = vaddr & -PMD_REGION_SIZE
+        pte_index = (vaddr >> PAGE_SHIFT) & 0x1FF
 
-        if is_present(pmd_entry):
-            if is_huge(pmd_entry):
+        if pmd_entry & INT_PRESENT:
+            if pmd_entry & INT_PS:
                 # A THP-promoted region: handle at PMD granularity.
                 self._huge_entry_fault(mm, pmd_table, pmd_index, vaddr,
                                        is_write)
                 return
-            leaf = mm.resolve(int(entry_pfn(pmd_entry)))
+            leaf_pfn = (pmd_entry & INT_PFN_MASK) >> PAGE_SHIFT
+            leaf = mm.resolve(leaf_pfn)
             # KCSAN watchpoint on the leaf table, keyed by the pfn the
             # split-PTL protocol locks on for this address.
-            kernel.san_access("pt", int(entry_pfn(pmd_entry)))
-            shared = kernel.pages.pt_ref(leaf.pfn) > 1
-            pte_index = table_index(vaddr, LEVEL_PTE)
-            pte_present = leaf.is_present(pte_index)
-            if shared and (is_write or not pte_present):
+            kernel.san_access("pt", leaf_pfn)
+            shared = kernel.pages.pt_ref(leaf_pfn) > 1
+            if shared and (is_write
+                           or not leaf.entries.item(pte_index) & INT_PRESENT):
                 # §3.4: the kernel must modify the table (install an entry
                 # or start data COW), so it first takes a dedicated copy.
                 leaf = copy_shared_pte_table(kernel, mm, pmd_table, pmd_index, slot_start)
-            elif not shared and not is_writable(pmd_entry) and is_write:
+            elif not shared and not pmd_entry & INT_RW and is_write:
                 # §3.4: refcount came back to one; both tables involved in
                 # the last copy are now dedicated.
                 unshare_sole_owner(kernel, mm, pmd_table, pmd_index)
@@ -229,17 +237,16 @@ class FaultHandler:
             pmd_table.set(pmd_index, make_entry(leaf.pfn, writable=True, user=True))
             kernel.note_table_write(pmd_table)
 
-        pte_index = table_index(vaddr, LEVEL_PTE)
-        pte = leaf.entries[pte_index]
+        pte = leaf.entries.item(pte_index)
 
-        if not is_present(pte):
-            if is_swap_entry(pte):
+        if not pte & INT_PRESENT:
+            if pte & INT_SWAP:
                 swap_in_entry(kernel, mm, vma, leaf, pte_index, is_write)
             elif vma.is_file_backed:
                 self._file_fault(mm, vma, leaf, pte_index, vaddr, is_write)
             else:
                 self._demand_zero(mm, vma, leaf, pte_index, is_write)
-        elif is_write and not is_writable(pte):
+        elif is_write and not pte & INT_RW:
             self._write_protect_fault(mm, vma, leaf, pte_index, vaddr)
         else:
             kernel.stats.spurious_faults += 1
@@ -318,12 +325,12 @@ class FaultHandler:
     def _write_protect_fault(self, mm, vma, leaf, pte_index, vaddr):
         """A write hit a present read-only PTE: COW, reuse, or re-enable."""
         kernel = self.kernel
-        pte = leaf.entries[pte_index]
-        pfn = int(entry_pfn(pte))
+        pte = leaf.entries.item(pte_index)
+        pfn = (pte & INT_PFN_MASK) >> PAGE_SHIFT
 
         if vma.is_shared:
             # Shared mapping write-notify: permission restored in place.
-            leaf.entries[pte_index] = pte | BIT_RW | BIT_DIRTY
+            leaf.entries[pte_index] = pte | INT_RW | INT_DIRTY
             kernel.note_table_write(leaf)
             if kernel.pages.has_flags(pfn, PG_FILE):
                 kernel.page_cache.mark_dirty(pfn)
@@ -333,7 +340,7 @@ class FaultHandler:
         is_file_page = kernel.pages.has_flags(pfn, PG_FILE)
         if not is_file_page and kernel.pages.get_ref(pfn) == 1:
             # Exclusive anonymous page: reuse without copying.
-            leaf.entries[pte_index] = pte | BIT_RW | BIT_DIRTY
+            leaf.entries[pte_index] = pte | INT_RW | INT_DIRTY
             kernel.note_table_write(leaf)
             kernel.stats.cow_reuse += 1
             kernel.cost.charge_fault_spurious()

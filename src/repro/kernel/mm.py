@@ -19,8 +19,15 @@ import numpy as np
 
 from ..errors import InvalidArgumentError, KernelBug
 from ..sancheck.annotations import charge_deferred, must_hold
-from ..mem.page import HUGE_PAGE_SIZE, PAGE_SIZE, PG_PAGETABLE
-from ..paging.entries import entry_pfn, is_huge, is_present, make_entry
+from ..mem.page import HUGE_PAGE_SIZE, PAGE_SHIFT, PAGE_SIZE, PG_PAGETABLE
+from ..paging.entries import (
+    INT_PFN_MASK,
+    INT_PRESENT,
+    entry_pfn,
+    is_huge,
+    is_present,
+    make_entry,
+)
 from ..paging.table import (
     LEVEL_PGD,
     LEVEL_PMD,
@@ -173,8 +180,8 @@ class MMStruct:
         table = self.pgd
         for level in (LEVEL_PGD, LEVEL_PUD):
             index = table_index(vaddr, level)
-            entry = table.entries[index]
-            if not is_present(entry):
+            entry = table.entries.item(index)
+            if not entry & INT_PRESENT:
                 if not alloc:
                     return None
                 # An OOM mid-walk leaves the upper levels built so far
@@ -185,7 +192,7 @@ class MMStruct:
                 table.set(index, make_entry(child.pfn, writable=True, user=True))
                 table = child
             else:
-                table = self.resolve(int(entry_pfn(entry)))
+                table = self.resolve((entry & INT_PFN_MASK) >> PAGE_SHIFT)
         return table, table_index(vaddr, LEVEL_PMD)
 
     def get_pte_table(self, vaddr):

@@ -47,17 +47,17 @@ from ..mem.page import (
     add_at,
 )
 from ..paging.entries import (
-    BIT_ACCESSED,
-    BIT_PRESENT,
-    PFN_MASK,
+    INT_ACCESSED as _ACCESSED,
+    INT_PFN_MASK,
+    INT_PRESENT as _PRESENT,
     make_swap_entry,
 )
 
 _INELIGIBLE = PG_FILE | PG_COMPOUND_HEAD | PG_COMPOUND_TAIL
-_PRESENT = int(BIT_PRESENT)
+#: An eligible page's flags have PG_ANON and none of ``_INELIGIBLE``.
+_ELIGIBLE_BITS = PG_ANON | _INELIGIBLE
 #: Bits of a PTE that say "present, mapping this pfn".
-_MAPS = int(PFN_MASK) | _PRESENT
-_ACCESSED = int(BIT_ACCESSED)
+_MAPS = INT_PFN_MASK | _PRESENT
 _NOT_ACCESSED = ~_ACCESSED
 
 
@@ -105,7 +105,7 @@ class RmapState:
 
     def add_home(self, pfn, home):
         """A mapped page gained a PTE at ``home``; remember it if new."""
-        if home != self.home[pfn]:
+        if home != self.home.item(pfn):
             extra = self.overflow.setdefault(pfn, [])
             if home not in extra:
                 extra.append(home)
@@ -141,8 +141,8 @@ class RmapState:
 
 
 def _eligible(pages, pfn):
-    flags = int(pages.flags[pfn])
-    return bool(flags & PG_ANON) and not flags & _INELIGIBLE
+    flags = pages.flags.item(pfn)
+    return flags & _ELIGIBLE_BITS == PG_ANON
 
 
 def _eligible_pfns(pages, pfns):
@@ -155,7 +155,7 @@ def _eligible_pfns(pages, pfns):
 def _unmapped(kernel, pfn, n):
     """``n`` PTEs of ``pfn`` are gone; leave the LRU at the last one."""
     rmap = kernel.rmap
-    count = int(rmap.mapcount[pfn]) - n
+    count = rmap.mapcount.item(pfn) - n
     if count < 0:
         raise KernelBug(f"rmap underflow: pfn {pfn}")
     rmap.mapcount[pfn] = count
@@ -170,7 +170,7 @@ def rmap_add(kernel, pfn, leaf, index):
     if rmap is None or not _eligible(kernel.pages, pfn):
         return
     home = rmap.home_of(leaf.pfn, index)
-    count = int(rmap.mapcount[pfn]) + 1
+    count = rmap.mapcount.item(pfn) + 1
     rmap.mapcount[pfn] = count
     if count == 1:
         rmap.home[pfn] = home
@@ -185,7 +185,8 @@ def rmap_remove(kernel, pfn):
         _unmapped(kernel, pfn, 1)
 
 
-def rmap_add_bulk(kernel, pfns, leaf=None, indices=None, homes=None):
+def rmap_add_bulk(kernel, pfns, leaf=None, indices=None, homes=None, *,
+                  _unique=False):
     """Count one new mapping of every eligible pfn in ``pfns``.
 
     ``pfns[i]`` is mapped at ``leaf.entries[indices[i]]`` (fills, COW,
@@ -193,6 +194,7 @@ def rmap_add_bulk(kernel, pfns, leaf=None, indices=None, homes=None):
     spanning several tables).  Copies — classic fork and table COW —
     pass none: their tables joined the source's family and keep its
     entry positions, so every copied PTE sits at an existing home.
+    ``_unique``: the caller already proved ``pfns`` duplicate-free.
     """
     rmap = kernel.rmap
     if rmap is None:
@@ -205,10 +207,10 @@ def rmap_add_bulk(kernel, pfns, leaf=None, indices=None, homes=None):
         homes = rmap.home_of(leaf.pfn,
                              np.asarray(indices, dtype=np.int64)[mask])
     else:
-        add_at(mapcount, pfns, 1)
+        add_at(mapcount, pfns, 1, _unique)
         return
     fresh = np.nonzero(mapcount[pfns] == 0)[0]
-    add_at(mapcount, pfns, 1)
+    add_at(mapcount, pfns, 1, _unique)
     if len(fresh):
         if (mapcount[pfns[fresh]] > 1).any():
             # A fresh page mapped twice here: its first PTE is the home.
@@ -224,14 +226,17 @@ def rmap_add_bulk(kernel, pfns, leaf=None, indices=None, homes=None):
         rmap.add_home(pfn, home)
 
 
-def rmap_remove_bulk(kernel, pfns):
-    """Drop one mapping of every eligible pfn in ``pfns`` (zap, teardown)."""
+def rmap_remove_bulk(kernel, pfns, *, _unique=False):
+    """Drop one mapping of every eligible pfn in ``pfns`` (zap, teardown).
+
+    ``_unique``: the caller already proved ``pfns`` duplicate-free.
+    """
     rmap = kernel.rmap
     if rmap is None:
         return
     pfns, _ = _eligible_pfns(kernel.pages, pfns)
     mapcount = rmap.mapcount
-    add_at(mapcount, pfns, -1)
+    add_at(mapcount, pfns, -1, _unique)
     left = mapcount[pfns]
     if (left < 0).any():
         raise KernelBug(f"rmap underflow: pfn {int(pfns[left < 0][0])}")

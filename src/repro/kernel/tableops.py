@@ -28,12 +28,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import KernelBug
-from ..mem.page import PAGE_SIZE, PG_FILE, PTRS_PER_TABLE
+from ..mem.page import PAGE_SIZE, PG_FILE, PTRS_PER_TABLE, has_duplicates
 from ..paging.entries import (
     BIT_RW,
     entry_pfn,
     make_entry,
     present_mask,
+    present_pfns,
 )
 from ..paging.table import LEVEL_PTE, PMD_REGION_SIZE
 from ..sancheck.annotations import charge_deferred, must_hold, tlb_deferred
@@ -202,24 +203,28 @@ def copy_shared_pte_table(kernel, mm, pmd_table, pmd_index, slot_start):
     kernel.charge_numa_copy(old_table.pfn)
 
     cow_mask = private_cow_mask(mm, slot_start)
-    if cow_mask.any():
-        drop = np.uint64(~BIT_RW)
+    all_cow = cow_mask is _ALL_COW
+    if all_cow or cow_mask.any():
         # Both copies: the new table so this process's writes still COW at
         # page granularity, and the original so a later sole owner cannot
         # silently regain write access to still-shared pages.
-        new_table.entries[cow_mask] &= drop
-        old_table.entries[cow_mask] &= drop
-        kernel.note_table_write(old_table, int(np.count_nonzero(cow_mask)))
+        write_protect(new_table.entries, cow_mask, all_cow)
+        write_protect(old_table.entries, cow_mask, all_cow)
+        if kernel.mitosis is not None:
+            kernel.note_table_write(
+                old_table,
+                PTRS_PER_TABLE if all_cow else int(np.count_nonzero(cow_mask)))
 
-    indices, pfns = table_present_pfns(new_table)
-    if len(pfns):
-        kernel.pages.ref_inc_bulk(pfns)
+    _, pfns = present_pfns(new_table.entries)
+    # One uniqueness proof serves the refcount and the mapcount update.
+    unique = not has_duplicates(pfns)
+    kernel.pages.ref_inc_bulk(pfns, _unique=unique)
     if kernel.swap is not None:
         # The copy carries swap entries too: each takes its own slot
         # reference, and present anon pages gain a mapping in the copy.
         kernel.swap_dup_entries(new_table.entries)
         from .rmap import rmap_add_bulk
-        rmap_add_bulk(kernel, pfns)
+        rmap_add_bulk(kernel, pfns, _unique=unique)
     drop_table_sharer(kernel, old_table.pfn, mm)
 
     kernel.cost.charge_table_cow_copy(len(pfns))

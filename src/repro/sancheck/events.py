@@ -28,7 +28,7 @@ INC_CALLS = {
 DEC_CALLS = {
     "ref_dec": "page", "ref_dec_bulk": "page",
     "pt_ref_dec": "ptref",
-    "swap_put": "swap", "swap_put_entries": "swap",
+    "swap_put": "swap", "swap_put_entries": "swap", "swap_put_rows": "swap",
 }
 #: TLB flush primitives (the ShootdownEngine / per-mm TLB surface).
 FLUSH_CALLS = frozenset({

@@ -1,7 +1,10 @@
 """Paging-entry encodings: bit layout, helpers, array operations."""
 
+from hypothesis import given, settings
+import hypothesis.strategies as st
 import numpy as np
 
+from repro.paging.entries import PFN_MASK, PFN_SHIFT
 from repro.paging import (
     BIT_ACCESSED,
     BIT_DIRTY,
@@ -89,3 +92,47 @@ class TestArrayOps:
         assert not writable_mask(entries).any()
         assert present_mask(entries).all()
         assert entry_pfn(entries).tolist() == [0, 1, 2, 3]
+
+
+def _numpy_make_entry(pfn, writable=True, user=True, present=True,
+                      huge=False, accessed=False, dirty=False):
+    """The np.uint64 construction ``make_entry`` used before it built
+    Python ints, kept as the reference."""
+    entry = (np.uint64(pfn) << PFN_SHIFT) & PFN_MASK
+    if present:
+        entry |= BIT_PRESENT
+    if writable:
+        entry |= BIT_RW
+    if user:
+        entry |= BIT_USER
+    if huge:
+        entry |= BIT_PS
+    if accessed:
+        entry |= BIT_ACCESSED
+    if dirty:
+        entry |= BIT_DIRTY
+    return entry
+
+
+_FLAGS = ("writable", "user", "present", "huge", "accessed", "dirty")
+
+
+class TestIntEntries:
+    @settings(max_examples=200, deadline=None)
+    @given(pfn=st.integers(0, (1 << 40) - 1), as_numpy=st.booleans())
+    def test_matches_the_numpy_construction(self, pfn, as_numpy):
+        arg = np.int64(pfn) if as_numpy else pfn
+        for combo in range(1 << len(_FLAGS)):
+            flags = {name: bool(combo >> bit & 1)
+                     for bit, name in enumerate(_FLAGS)}
+            entry = make_entry(arg, **flags)
+            assert type(entry) is int
+            assert entry == int(_numpy_make_entry(pfn, **flags)), flags
+
+    def test_stores_and_reads_back_bit_for_bit(self):
+        entries = np.zeros(2, dtype=np.uint64)
+        entries[1] = make_entry((1 << 40) - 1, huge=True, accessed=True,
+                                dirty=True)
+        assert entries[1] == _numpy_make_entry(
+            (1 << 40) - 1, huge=True, accessed=True, dirty=True)
+        assert int(entry_pfn(entries[1])) == (1 << 40) - 1

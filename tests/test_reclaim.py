@@ -10,6 +10,7 @@ from repro.paging import (
     entry_pfn,
     is_present,
     is_swap_entry,
+    make_entry,
     make_swap_entry,
     swap_entry_slot,
     swap_entry_type,
@@ -289,6 +290,78 @@ class TestSlotLifecycle:
             dict(loop.kernel.swap_cache.items())
         assert vector.allocator._free_lists == loop.allocator._free_lists
         assert vector.pages.refcount.tolist() == loop.pages.refcount.tolist()
+
+    @staticmethod
+    def _rows_machine():
+        """Six live slots (three with swap-cache frames), one frame per
+        table row to free after its releases, and the rows: slot 0 dies
+        at its third entry (rows 0 and 2), slot 1 at row 1, slot 3 in
+        row 2, slot 4 at its second entry in row 0; slots 2 and 5
+        survive.  Present entries and empty ones sit in between."""
+        machine = swap_machine(phys_mb=16, swap_mb=16)
+        kernel = machine.kernel
+        slots = [kernel.swap.alloc_slot() for _ in range(6)]
+        for slot, refs in zip(slots, (3, 2, 3, 1, 2, 4)):
+            kernel.swap_dup(slot, refs)
+        for slot in (slots[0], slots[1], slots[4]):
+            pfn = int(machine.allocator.alloc(0))
+            kernel.pages.on_alloc(pfn, PG_ANON)
+            kernel.swap_cache.add(slot, pfn)
+        frames = [int(machine.allocator.alloc(0)) for _ in range(3)]
+        layout = ((4, 0, None, 5, 1, 4, 0),
+                  (2, None, 1, 5, 2, None, None),
+                  (None, 3, 5, None, 0, None, None))
+        rows = np.array(
+            [[make_entry(frames[0], user=True) if i is None
+              else make_swap_entry(slots[i]) for i in row]
+             for row in layout], dtype=np.uint64)
+        rows[1, 1] = 0
+        return machine, slots, frames, rows
+
+    @staticmethod
+    def _recording(machine):
+        released = []
+        release = machine.kernel.release_swap_slot
+
+        def record(slot):
+            released.append(slot)
+            release(slot)
+
+        machine.kernel.release_swap_slot = record
+        return released
+
+    def test_swap_put_rows_matches_one_swap_put_entries_per_row(self):
+        batch, slots, frames, rows = self._rows_machine()
+        per_row = batch.kernel.swap_put_rows(rows)
+        assert per_row == [[slots[4]], [slots[1]], [slots[3], slots[0]]]
+        batch_order = self._recording(batch)
+        for row_slots, frame in zip(per_row, frames):
+            for slot in row_slots:
+                batch.kernel.release_swap_slot(slot)
+            batch.allocator.free(frame, 0)
+
+        loop, slots, frames, rows = self._rows_machine()
+        loop_order = self._recording(loop)
+        for row, frame in zip(rows, frames):
+            loop.kernel.swap_put_entries(row)
+            loop.allocator.free(frame, 0)
+
+        assert batch_order == loop_order
+        assert batch.kernel.swap.swap_map.tolist() == \
+            loop.kernel.swap.swap_map.tolist()
+        assert batch.kernel.swap._free == loop.kernel.swap._free
+        assert dict(batch.kernel.swap_cache.items()) == \
+            dict(loop.kernel.swap_cache.items())
+        assert batch.allocator._free_lists == loop.allocator._free_lists
+        assert batch.pages.refcount.tolist() == loop.pages.refcount.tolist()
+
+    def test_swap_put_rows_without_swap_entries_releases_nothing(self):
+        machine, _, frames, _ = self._rows_machine()
+        before = machine.kernel.swap.swap_map.tolist()
+        rows = np.zeros((2, 512), dtype=np.uint64)
+        rows[0, 7] = make_entry(frames[0], user=True)
+        assert machine.kernel.swap_put_rows(rows) == [[], []]
+        assert machine.kernel.swap.swap_map.tolist() == before
 
     def test_swap_put_entries_underflow_is_a_kernel_bug(self):
         machine, slots = self._slots_with_cache()

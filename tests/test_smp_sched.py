@@ -179,6 +179,24 @@ class TestWiring:
         with pytest.raises(ConfigurationError):
             Machine(phys_mb=64, smp=-1)
 
+    def test_finished_tasks_leave_the_scheduler(self):
+        # The scheduler keeps no finished task (nor the child process its
+        # result holds); each run returns the tasks it finished, and the
+        # caller's handle keeps the result.
+        machine = smp_machine(2, phys_mb=64)
+        sched = machine.smp
+        p = machine.spawn_process("p")
+        buf = p.mmap(2 * MIB)
+        p.touch_range(buf, 2 * MIB)
+        for _ in range(2):
+            tasks = [sched.spawn(f"fork-{i}", ops.fork_flow(sched, p),
+                                 mm=p.mm) for i in range(3)]
+            assert sched.tasks == tasks
+            assert sched.run() == tasks
+            assert sched.tasks == []
+            assert all(t.result["child"].alive for t in tasks)
+        assert sched.quiescence_errors() == []
+
 
 class TestLockSemantics:
     def test_writer_excludes_readers_fifo(self):

@@ -151,3 +151,23 @@ class TestAccessedDirtyBits:
         assert tr.pfn == 9
         assert not is_accessed(pte.entries[table_index(VADDR, LEVEL_PTE)])
         assert walker.probe(pgd, VADDR + (1 << 39)) is None
+
+
+class TestFaultMessage:
+    def test_message_reads_as_before(self):
+        # The message is built when printed, not when the walk raises.
+        assert str(MMUFault(0x7F00_0020_1000, True, LEVEL_PTE,
+                            FAULT_WRITE_PROTECTED)) == \
+            "#PF at 0x7f0000201000 (write, level 1, write_protected)"
+        assert str(MMUFault(0x1000, False, LEVEL_PGD, FAULT_NOT_PRESENT)) \
+            == "#PF at 0x1000 (read, level 4, not_present)"
+
+    def test_raised_fault_carries_its_fields(self):
+        pgd, tables, _, _ = build_tree(VADDR, leaf_pfn=9, pte_writable=False)
+        walker = Walker(tables.__getitem__)
+        with pytest.raises(MMUFault, match=r"^#PF at .* \(write, level 1, "
+                                           r"write_protected\)$") as info:
+            walker.translate(pgd, VADDR, is_write=True)
+        fault = info.value
+        assert (fault.vaddr, fault.is_write, fault.level, fault.reason) == \
+            (VADDR, True, LEVEL_PTE, FAULT_WRITE_PROTECTED)
