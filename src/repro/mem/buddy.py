@@ -334,8 +334,16 @@ class BuddyAllocator:
                 owned[span] = True
         if live != len(heads):
             raise KernelBug("free block without a live free-list entry")
-        alloc_heads = np.nonzero(self._alloc_order)[0]
-        for pfn in alloc_heads.tolist():
+        alloc_heads = np.flatnonzero(self._alloc_order)
+        # Order-0 allocations (nearly all of them) are checked at once;
+        # a larger block overlapping one of them is caught in the loop.
+        single = self._alloc_order[alloc_heads] == 1
+        frames = alloc_heads[single]
+        clash = frames[owned[frames]]
+        if len(clash):
+            raise KernelBug(f"allocation at {clash[0]} overlaps a free block")
+        owned[frames] = True
+        for pfn in alloc_heads[~single].tolist():
             span = slice(pfn, pfn + (1 << self.allocated_order(pfn)))
             if owned[span].any():
                 raise KernelBug(f"allocation at {pfn} overlaps a free block")

@@ -21,6 +21,7 @@ from ..mem.page import (
     HUGE_PAGE_ORDER,
     PAGE_SHIFT,
     PG_ANON,
+    PG_COMPOUND_TAIL,
     PG_FILE,
     PG_PAGETABLE,
 )
@@ -41,7 +42,9 @@ def audit_machine(machine):
     pages = machine.pages
 
     expected_pt_refs = defaultdict(int)     # leaf table pfn -> #PMD refs
-    expected_page_refs = defaultdict(int)   # data page pfn -> #table refs
+    # One pfn per reference a data page should hold, in arrays: a dict
+    # entry per mapped page would cost ~100 bytes of host memory each.
+    page_refs = []
     seen_leaf_tables = {}
 
     live_mms = []
@@ -66,7 +69,7 @@ def audit_machine(machine):
                                   + pmd_index * LEVEL_SPAN[LEVEL_PUD]
                                   + slot * LEVEL_SPAN[LEVEL_PMD])
                     if is_huge(entry):
-                        expected_page_refs[int(entry_pfn(entry))] += 1
+                        page_refs.append([int(entry_pfn(entry))])
                         n_huge += 1
                         # The huge-PMD fault reuses a sole-owned page with
                         # no VMA check: THP must never map a shared VMA.
@@ -85,23 +88,23 @@ def audit_machine(machine):
 
     # Each leaf table *object* owns one reference per present data page.
     for leaf in seen_leaf_tables.values():
-        for slot in leaf.present_indices().tolist():
-            expected_page_refs[int(entry_pfn(leaf.entries[slot]))] += 1
+        page_refs.append(entry_pfn(leaf.entries[present_mask(leaf.entries)]))
 
     # The page cache holds one reference per cached page.
-    for pfn in kernel.page_cache._cache.values():
-        expected_page_refs[pfn] += 1
+    page_refs.append(list(kernel.page_cache._cache.values()))
 
     # Live in-place snapshots hold one reference per saved present page.
     for snapshot in kernel.live_snapshots:
         for saved in snapshot.saved.values():
-            for pfn in entry_pfn(saved[present_mask(saved)]).tolist():
-                expected_page_refs[int(pfn)] += 1
+            page_refs.append(entry_pfn(saved[present_mask(saved)]))
 
     # The swap cache holds one reference per cached frame.
     if kernel.swap_cache is not None:
-        for _slot, pfn in kernel.swap_cache.items():
-            expected_page_refs[pfn] += 1
+        page_refs.append([pfn for _slot, pfn in kernel.swap_cache.items()])
+    referenced, expected = np.unique(
+        np.concatenate([np.asarray(refs, dtype=np.int64)
+                        for refs in page_refs]),
+        return_counts=True)
 
     for leaf_pfn, count in expected_pt_refs.items():
         actual = pages.pt_ref(leaf_pfn)
@@ -110,33 +113,32 @@ def audit_machine(machine):
                 f"leaf table {leaf_pfn}: pt_refcount {actual}, "
                 f"{count} PMD references found"
             )
-    for pfn, count in expected_page_refs.items():
-        actual = pages.get_ref(pfn)
-        if actual != count:
-            errors.append(
-                f"page {pfn}: refcount {actual}, {count} references found"
-            )
+    actual = pages.refcount[referenced]
+    wrong = np.flatnonzero(actual != expected)
+    for pfn, have, count in zip(referenced[wrong].tolist(),
+                                actual[wrong].tolist(),
+                                expected[wrong].tolist()):
+        errors.append(f"page {pfn}: refcount {have}, {count} references found")
 
     # No data page should have a refcount without a referent (leak), and
-    # table frames must be registered.
-    live = np.nonzero(pages.refcount > 0)[0]
-    for pfn in live.tolist():
-        if pfn == 0:
-            continue  # reserved frame
-        if pages.has_flags(pfn, PG_PAGETABLE):
-            if pfn not in kernel._tables:
-                # Mitosis replica frames are table-flagged but live only
-                # in the replica registry; _audit_numa cross-checks them.
-                if kernel.mitosis is not None and \
-                        pfn in kernel.mitosis.replica_of:
-                    continue
-                errors.append(f"table frame {pfn} not registered")
-            continue
-        if pages.flags[pfn] & np.uint16(0x10):  # PG_COMPOUND_TAIL
-            continue
-        if pfn not in expected_page_refs:
-            errors.append(f"page {pfn} live (ref={pages.get_ref(pfn)}) "
-                          f"but unreachable: leak")
+    # table frames must be registered.  Frame 0 is reserved.
+    live = np.flatnonzero(pages.refcount[1:] > 0) + 1
+    flags = pages.flags[live]
+    is_table = (flags & PG_PAGETABLE) != 0
+    for pfn in live[is_table].tolist():
+        if pfn not in kernel._tables:
+            # Mitosis replica frames are table-flagged but live only
+            # in the replica registry; _audit_numa cross-checks them.
+            if kernel.mitosis is not None and \
+                    pfn in kernel.mitosis.replica_of:
+                continue
+            errors.append(f"table frame {pfn} not registered")
+    data = live[~is_table & ((flags & PG_COMPOUND_TAIL) == 0)]
+    has_referent = np.zeros(len(pages.refcount), dtype=bool)
+    has_referent[referenced] = True
+    for pfn in data[~has_referent[data]].tolist():
+        errors.append(f"page {pfn} live (ref={pages.get_ref(pfn)}) "
+                      f"but unreachable: leak")
 
     # Registered table frames must be exactly the reachable ones: a table
     # allocated but never installed (a botched unwind) would otherwise
