@@ -26,7 +26,9 @@ The engagement counts are gated exactly: any change fails.  The analytic
 fast path and the per-event walks charge identical virtual time by
 design, so only these counts see the fast path silently disengage.  The
 smoke's host wall-clock (the ``bench`` table) stays in the payload as a
-report; nothing gates on it.
+report; nothing gates on it.  A baseline key that no tracked metric
+reads fails the gate too, so a retired metric's row cannot linger
+unchecked.
 
 Usage::
 
@@ -67,8 +69,7 @@ ENGAGEMENT = tuple(
     Metric(f"fastpath.{column}@{exp_id}", "fastpath", ("experiment", exp_id),
            column, EXACT)
     for exp_id in ("fig7", "faas")
-    for column in ("fill_engaged", "fork_engaged", "exit_engaged",
-                   "odfork_rss_copied")
+    for column in ("fill_engaged", "fork_engaged", "exit_engaged")
 )
 
 TRACKED = (
@@ -174,7 +175,8 @@ def compare_payloads(current_payload, baseline_values,
     ``baseline_values`` is ``{metric key: value}`` (the committed
     baseline file's ``metrics`` object).  Returns
     ``(deltas, regressions)``; a tracked metric missing on either side is
-    itself a regression — the gate must never silently narrow.
+    itself a regression — the gate must never silently narrow — and so is
+    a stale baseline key that no tracked metric reads.
     """
     deltas = []
     regressions = []
@@ -206,6 +208,10 @@ def compare_payloads(current_payload, baseline_values,
         regressions.append(
             f"{delta.key}: {delta.baseline:.4g} -> {delta.current:.4g} "
             f"({delta.ratio:.2f}x, {worse} than the {threshold:.0%} gate)")
+    tracked = {metric.key for metric in metrics}
+    regressions += [f"{key}: stale baseline entry, no tracked metric reads "
+                    f"it (remove it)"
+                    for key in baseline_values if key not in tracked]
     return deltas, regressions
 
 

@@ -67,7 +67,6 @@ from .rmap import rmap_add_bulk, rmap_remove_bulk
 from ..sancheck.annotations import acquires, must_hold
 from .tableops import (
     copy_shared_pte_table,
-    count_file_pages,
     free_anon_frames,
     unshare_sole_owner,
 )
@@ -223,7 +222,7 @@ def fast_fill_run(kernel, mm, vma, pmd_table, table_base, lo, hi, is_write,
     slot's allocator calls stay in the per-slot order (its table frame,
     then its data frames), because that sequence is buddy state;
     everything else is done once for the run: one scatter of the data
-    rows, one write of the PMD entries, the struct-page, RSS and rmap
+    rows, one write of the PMD entries, the struct-page and rmap
     updates, and one ``charge_many`` replaying each slot's table-alloc
     and demand-zero charges.  Returning False means nothing was mutated
     and the caller must run the per-slot path.
@@ -281,7 +280,6 @@ def fast_fill_run(kernel, mm, vma, pmd_table, table_base, lo, hi, is_write,
                  + np.arange(PTRS_PER_TABLE, dtype=np.int64))
         rmap_add_bulk(kernel, pfns,
                       homes=homes.ravel()[first_page:end_page])
-    mm.add_rss(n_pages, file_backed=False)
     p = kernel.cost.params
     ids = np.empty((n_slots, 2), dtype=np.int64)
     ids[:] = (0, 1)
@@ -383,9 +381,9 @@ def _fill_absent(kernel, mm, vma, leaf, slot_start, lo_index, hi_index,
     if vma.is_file_backed:
         # File pages come from the cache one index at a time; file-backed
         # regions in the workloads are small (binaries, shmem segments).
-        # RSS and stats are charged per page, not after the loop: a cache
-        # fill can fail under OOM mid-loop, and the entries already
-        # installed must already be accounted for.
+        # Stats are charged per page, not after the loop: a cache fill
+        # can fail under OOM mid-loop, and the entries already installed
+        # must already be accounted for.
         absent_positions = np.nonzero(absent)[0]
         writable_now = vma.writable and vma.is_shared
         for pos in absent_positions.tolist():
@@ -397,7 +395,6 @@ def _fill_absent(kernel, mm, vma, leaf, slot_start, lo_index, hi_index,
             sub[pos] = _entries_for(np.uint64(pfn), writable_now,
                                     dirty=is_write and writable_now)
             kernel.note_table_write(leaf)
-            mm.add_rss(1, file_backed=True)
             kernel.stats.file_faults += 1
             cost.charge_page_cache_lookup()
             cost.charge_fault_base()
@@ -408,7 +405,6 @@ def _fill_absent(kernel, mm, vma, leaf, slot_start, lo_index, hi_index,
     sub[absent] = _entries_for(pfns, vma.writable, dirty=is_write)
     kernel.note_table_write(leaf, n)
     rmap_add_bulk(kernel, pfns, leaf, lo_index + np.nonzero(absent)[0])
-    mm.add_rss(n, file_backed=False)
     cost.charge(
         "bulk_demand_zero",
         n * (params.fault_base + params.page_alloc + params.page_zero_4k),
@@ -455,7 +451,6 @@ def _bulk_cow(kernel, mm, leaf, lo_index, sub, ro_mask, events):
         raise
     kernel.pages.on_alloc_bulk(dst, PG_ANON | PG_DIRTY)
     kernel.phys.copy_frames_bulk(src, dst)
-    n_file = count_file_pages(kernel, src)
     if kernel.rmap is not None:
         kernel.pages.ref_dec_bulk(src)  # the pins; refs stay >= 1 here
         rmap_remove_bulk(kernel, src)
@@ -464,9 +459,6 @@ def _bulk_cow(kernel, mm, leaf, lo_index, sub, ro_mask, events):
     sub[copy_positions] = _entries_for(dst, writable=True, dirty=True)
     kernel.note_table_write(leaf, n)
     rmap_add_bulk(kernel, dst, leaf, lo_index + copy_positions)
-    if n_file:
-        mm.sub_rss(n_file, file_backed=True)
-        mm.add_rss(n_file, file_backed=False)
     warmth = params.odf_cow_warmth if mm.odf_lineage else 1.0
     cost.charge(
         "bulk_cow_copy",
@@ -492,7 +484,6 @@ def _access_huge_slot(kernel, mm, vma, pmd_table, pmd_index, slot_start,
         pmd_table.entries[pmd_index] = _entries_for(
             np.uint64(head), vma.writable, dirty=is_write) | BIT_PS
         kernel.note_table_write(pmd_table)
-        mm.add_rss(1 << HUGE_PAGE_ORDER, file_backed=False)
         cost.charge_fault_base()
         cost.charge_bulk_copy(HUGE_PAGE_SIZE)
         events["huge_faults"] += 1

@@ -112,7 +112,6 @@ def swap_in_entry(kernel, mm, vma, leaf, pte_index, is_write):
         dirty=is_write and writable, accessed=True,
     ))
     kernel.note_table_write(leaf)
-    mm.add_rss(1, file_backed=False)
     return pfn
 
 
@@ -269,7 +268,6 @@ class FaultHandler:
         ))
         kernel.note_table_write(leaf)
         rmap_add(kernel, pfn, leaf, pte_index)
-        mm.add_rss(1, file_backed=False)
         kernel.stats.demand_zero_faults += 1
         if points.enabled:
             points.tracepoint("fault.demand_zero", pfn=pfn)
@@ -300,7 +298,6 @@ class FaultHandler:
             ))
             kernel.note_table_write(leaf)
             rmap_add(kernel, new_pfn, leaf, pte_index)
-            mm.add_rss(1, file_backed=False)
             if points.enabled:
                 points.tracepoint("fault.file", vaddr=vaddr, pfn=new_pfn,
                                   private_cow=True)
@@ -316,7 +313,6 @@ class FaultHandler:
         kernel.note_table_write(leaf)
         if is_write and writable:
             kernel.page_cache.mark_dirty(cache_pfn)
-        mm.add_rss(1, file_backed=True)
         if points.enabled:
             points.tracepoint("fault.file", vaddr=vaddr, pfn=cache_pfn,
                               private_cow=False)
@@ -379,9 +375,6 @@ class FaultHandler:
         ))
         kernel.note_table_write(leaf)
         rmap_add(kernel, new_pfn, leaf, pte_index)
-        if is_file_page:
-            mm.sub_rss(1, file_backed=True)
-            mm.add_rss(1, file_backed=False)
         kernel.stats.cow_faults += 1
         if points.enabled:
             points.tracepoint("fault.cow", vaddr=vaddr, pfn=new_pfn,
@@ -463,7 +456,6 @@ class FaultHandler:
                 dirty=is_write, accessed=True,
             ))
             kernel.note_table_write(pmd_table)
-            mm.add_rss(1 << HUGE_PAGE_ORDER, file_backed=False)
             kernel.stats.huge_faults += 1
             if points.enabled:
                 points.tracepoint("fault.huge", vaddr=vaddr, cow=False,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..mem.page import HUGE_PAGE_ORDER, PTRS_PER_TABLE
+from ..mem.page import PTRS_PER_TABLE
 from ..paging.entries import (
     entry_pfn,
     is_huge,
@@ -29,12 +29,9 @@ from ..paging.table import (
     LEVEL_PTE,
     LEVEL_PUD,
     LEVEL_SPAN,
-    PMD_REGION_SIZE,
 )
 from .tableops import (
     DROP_RW,
-    count_file_pages,
-    maps_file_pages,
     private_cow_mask,
     write_protect,
 )
@@ -194,7 +191,6 @@ def classic_copy_slot(kernel, parent_mm, child_mm, builder, pmd, pmd_index,
             entry &= DROP_RW
             pmd.entries[pmd_index] = entry
         child_pmd.entries[child_index] = entry
-        child_mm.add_rss(1 << HUGE_PAGE_ORDER, file_backed=False)
         cost.charge_copy_huge_entries(1)
         if points.enabled:
             points.tracepoint("fork.copy_slot", slot_start=slot_start,
@@ -228,15 +224,6 @@ def classic_copy_slot(kernel, parent_mm, child_mm, builder, pmd, pmd_index,
     _, pfns = present_pfns(child_leaf.entries)
     if len(pfns):
         kernel.pages.ref_inc_bulk(pfns)
-        # RSS is accounted per slot, not snapshot-copied at the end: under
-        # SMP a concurrent reclaim may unmap pages from already-copied
-        # child tables before the walk finishes.
-        n_file = (count_file_pages(kernel, pfns)
-                  if maps_file_pages(parent_mm, slot_start,
-                                     slot_start + PMD_REGION_SIZE)
-                  else 0)
-        child_mm.add_rss(n_file, file_backed=True)
-        child_mm.add_rss(len(pfns) - n_file, file_backed=False)
     if kernel.swap is not None:
         # Copied swap entries reference their slots too, and the copy's
         # present anon pages gain a reverse mapping.

@@ -153,9 +153,9 @@ class Kernel:
         # behaves exactly as it did before the subsystem existed.
         self.swap = swap
         #: leaf-table pfn -> [MMStruct, ...] sharing that table; lets
-        #: try_to_unmap fix each sharer's RSS and TLB when it edits a
-        #: shared table in place, and gives TLB shootdowns their target
-        #: set.  Maintained unconditionally since the SMP subsystem.
+        #: try_to_unmap flush each sharer's TLB when it edits a shared
+        #: table in place, and gives TLB shootdowns their target set.
+        #: Maintained unconditionally since the SMP subsystem.
         self.pt_sharers = {}
         if swap is not None:
             from ..mem.swap import SwapCache

@@ -17,16 +17,26 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import InvalidArgumentError, KernelBug
+from ..errors import InvalidArgumentError
 from ..sancheck.annotations import charge_deferred, must_hold
-from ..mem.page import HUGE_PAGE_SIZE, PAGE_SHIFT, PAGE_SIZE, PG_PAGETABLE
+from ..mem.page import (
+    HUGE_PAGE_ORDER,
+    HUGE_PAGE_SIZE,
+    PAGE_SHIFT,
+    PAGE_SIZE,
+    PG_FILE,
+    PG_PAGETABLE,
+)
 from ..paging.entries import (
+    BIT_PS,
     INT_PFN_MASK,
     INT_PRESENT,
     entry_pfn,
     is_huge,
     is_present,
     make_entry,
+    present_mask,
+    present_pfns,
 )
 from ..paging.table import (
     LEVEL_PGD,
@@ -39,6 +49,7 @@ from ..paging.table import (
     table_index,
 )
 from ..paging.tlb import TLB
+from .fork import iter_parent_pmd_tables
 from .vma import VMAList
 
 #: Default placement window for anonymous mappings (mirrors the mmap area
@@ -60,8 +71,6 @@ class MMStruct:
         self.users = 1
         self.vmas = VMAList()
         self.tlb = TLB()
-        self.rss_anon_pages = 0
-        self.rss_file_pages = 0
         self.nr_pte_tables = 0       # PMD entries pointing at leaf tables
         self.nr_upper_tables = 0     # PUD/PMD tables (excludes the PGD)
         self.dead = False
@@ -306,30 +315,50 @@ class MMStruct:
             pieces.append((max(vma.start, slot_start), min(vma.end, slot_end), vma))
         return pieces
 
-    # ---- counters -----------------------------------------------------------
+    # ---- resident set -----------------------------------------------------
 
-    def add_rss(self, n_pages, file_backed=False):
-        """Account ``n_pages`` newly resident pages."""
-        if file_backed:
-            self.rss_file_pages += n_pages
-        else:
-            self.rss_anon_pages += n_pages
+    def rss_counts(self):
+        """``(anon, file)`` resident pages: what this mm's tables map.
 
-    def sub_rss(self, n_pages, file_backed=False):
-        """Account ``n_pages`` released pages."""
-        if file_backed:
-            self.rss_file_pages -= n_pages
-            if self.rss_file_pages < 0:
-                raise KernelBug("file RSS underflow")
-        else:
-            self.rss_anon_pages -= n_pages
-            if self.rss_anon_pages < 0:
-                raise KernelBug("anon RSS underflow")
+        512 anon pages per huge entry and one page per present leaf
+        entry, file-backed when its frame is ``PG_FILE``; a dead mm maps
+        nothing.  The leaf rows are gathered one PMD table at a time.
+        """
+        if self.dead:
+            return 0, 0
+        kernel = self.kernel
+        flags = kernel.pages.flags
+        resolve = kernel.resolve_table
+        anon = file = 0
+        for pmd, _base in iter_parent_pmd_tables(self):
+            entries = pmd.entries
+            present = present_mask(entries)
+            huge = present & ((entries & BIT_PS) != 0)
+            anon += int(np.count_nonzero(huge)) << HUGE_PAGE_ORDER
+            leaf_pfns = entry_pfn(entries[present & ~huge]).tolist()
+            if not leaf_pfns:
+                continue
+            _, pfns = present_pfns(kernel.entry_store.gather(
+                [resolve(pfn).row for pfn in leaf_pfns]))
+            n_file = int(np.count_nonzero(flags.take(pfns) & PG_FILE))
+            file += n_file
+            anon += len(pfns) - n_file
+        return anon, file
+
+    @property
+    def rss_anon_pages(self):
+        """Resident anonymous pages."""
+        return self.rss_counts()[0]
+
+    @property
+    def rss_file_pages(self):
+        """Resident page-cache pages."""
+        return self.rss_counts()[1]
 
     @property
     def rss_pages(self):
         """Resident pages (anon + file)."""
-        return self.rss_anon_pages + self.rss_file_pages
+        return sum(self.rss_counts())
 
     @property
     def rss_bytes(self):

@@ -115,7 +115,7 @@ def move_mapping(kernel, mm, vma, new_size):
         if leaf.is_empty():
             pmd_table.clear(pmd_index)
             mm.nr_pte_tables -= 1
-            put_pte_table(kernel, mm, leaf, account_rss=False)
+            put_pte_table(kernel, mm, leaf)
 
     kernel.cost.charge_zap_entries(moved)   # clearing old entries
     kernel.cost.charge_copy_pte_entries(0)  # attribution anchor

@@ -12,7 +12,10 @@ PTE table with the parent (§3.1):
   single leaf entry;
 * no data-page refcount is touched: the skipped ``compound_head`` /
   ``page_ref_inc`` per-PTE loop is precisely the 65x-270x invocation-time
-  win of Figure 7.
+  win of Figure 7;
+* no RSS is counted either: :meth:`~repro.kernel.mm.MMStruct.rss_counts`
+  reads residency from the tables, so the child reports what its shared
+  tables map.
 
 The deferred work happens later, in the fault handler, one table at a
 time (:func:`~repro.kernel.tableops.copy_shared_pte_table`).
@@ -35,14 +38,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..mem.page import HUGE_PAGE_ORDER, PTRS_PER_TABLE
+from ..mem.page import PTRS_PER_TABLE
 from ..paging.entries import BIT_PS, BIT_RW, entry_pfn, present_mask
-from .fastpath import (
-    _fork_headroom_ok,
-    count_bail,
-    count_refusal,
-    fast_path_ok,
-)
 from .fork import (
     SLOT_DONE,
     ChildTreeBuilder,
@@ -52,8 +49,7 @@ from .fork import (
     iter_parent_slots,
     slot_lock_key,
 )
-from ..paging.table import LEVEL_PGD, LEVEL_PMD, LEVEL_SPAN
-from .tableops import count_file_pages
+from ..paging.table import LEVEL_PMD, LEVEL_SPAN
 from ..sancheck.annotations import (
     acquires,
     charge_deferred,
@@ -95,57 +91,11 @@ def _apply_replica_share_policy(kernel, child_mm, leaf_pfns):
             child_mm.replicated = True
 
 
-def _account_shared_tables_rss_bulk(kernel, mm, child_mm, leaf_pfns):
-    """Sharing leaf tables makes their present pages resident in the child.
-
-    Counted as the tables are shared, not copied from the parent at the
-    end (that needs :func:`_child_rss_is_parents`), so a concurrent
-    reclaim that edits an already-shared table mid-odfork finds the
-    child's RSS consistent with its mappings.  One packed gather covers
-    all the tables' rows.
-    """
-    rows = np.fromiter((mm.resolve(leaf_pfn).row
-                        for leaf_pfn in leaf_pfns.tolist()),
-                       dtype=np.int64, count=len(leaf_pfns))
-    matrix = kernel.entry_store.gather(rows)
-    data_pfns = entry_pfn(matrix[present_mask(matrix)]).astype(np.int64)
-    if len(data_pfns):
-        n_file = count_file_pages(kernel, data_pfns)
-        child_mm.add_rss(n_file, file_backed=True)
-        child_mm.add_rss(len(data_pfns) - n_file, file_backed=False)
-
-
-def _child_rss_is_parents(kernel, parent_mm):
-    """Whether the child's RSS may be copied from the parent's at the end.
-
-    Only reclaim can take a page out of a table mid-copy, and only an
-    allocation can start reclaim.  The copy allocates just the child's
-    PUD and PMD tables, so when the headroom rule proves those cannot
-    wake kswapd or enter reclaim, the child ends up mapping exactly what
-    the parent maps and its RSS equals the parent's.  Otherwise (and on
-    the per-event reference path) each shared table is counted as it is
-    shared.
-    """
-    if not fast_path_ok(kernel):
-        count_refusal(kernel, "odfork_rss")
-        return False
-    n_pmd = 0
-    pud_keys = set()
-    for pmd, base in iter_parent_pmd_tables(parent_mm):
-        if present_mask(pmd.entries).any():
-            n_pmd += 1
-            pud_keys.add(base // LEVEL_SPAN[LEVEL_PGD])
-    if _fork_headroom_ok(kernel, n_pmd + len(pud_keys)):
-        return True
-    count_bail(kernel, "odfork_rss", "headroom")
-    return False
-
-
 @must_hold("mmap_lock", "ptl")
 @tlb_deferred("the PMD write-protect is batched; finish_odf_copy shoots the parent down once")
 @charge_deferred("callers charge the shared tables: copy_mm_odf once per fork, odf_share_walk once per slot")
 def share_pmd_entries(kernel, parent_mm, child_mm, builder, parent_pmd,
-                      table_base, present, copy_rss, share_huge=False):
+                      table_base, present, share_huge=False):
     """Share (or, for huge entries, eagerly copy) the ``present`` entries
     of one parent PMD table; returns how many leaf tables it shared.
 
@@ -153,8 +103,6 @@ def share_pmd_entries(kernel, parent_mm, child_mm, builder, parent_pmd,
     write-protected PMD entry on each side.  ``present`` is a boolean
     mask over the table's 512 entries, all of them present: the whole
     table for :func:`copy_mm_odf`, one slot for :func:`odf_share_walk`.
-    With ``copy_rss`` the caller copies the parent's RSS afterwards
-    instead of counting each shared table's pages here.
     """
     kernel.failpoints.hit("odfork.share_table")
     cost = kernel.cost
@@ -170,8 +118,6 @@ def share_pmd_entries(kernel, parent_mm, child_mm, builder, parent_pmd,
         kernel.pages.pt_refcount[pfns] += 1
         for leaf_pfn in pfns.tolist():
             kernel.pt_sharers[leaf_pfn].append(child_mm)
-        if not copy_rss:
-            _account_shared_tables_rss_bulk(kernel, parent_mm, child_mm, pfns)
         if kernel.mitosis is not None:
             _apply_replica_share_policy(kernel, child_mm, pfns.tolist())
         protected = entries[leaf_positions] & drop_rw
@@ -198,8 +144,6 @@ def share_pmd_entries(kernel, parent_mm, child_mm, builder, parent_pmd,
             entry &= drop_rw
             entries[pmd_index] = entry
         child_pmd.entries[pmd_index] = entry
-        if not copy_rss:
-            child_mm.add_rss(1 << HUGE_PAGE_ORDER, file_backed=False)
         if share_huge:
             # §4 generalisation: one permission-drop per 2 MiB entry,
             # charged like a table share instead of the eager copy.
@@ -213,7 +157,6 @@ def share_pmd_entries(kernel, parent_mm, child_mm, builder, parent_pmd,
 @acquires("ptl")
 def copy_mm_odf(kernel, parent_mm, child_mm, share_huge=False):
     """Share ``parent_mm``'s leaf tables into ``child_mm`` (§3.1, §3.5)."""
-    copy_rss = _child_rss_is_parents(kernel, parent_mm)
     builder = begin_odf_copy(kernel, parent_mm, child_mm)
     shared_tables = 0
     for parent_pmd, table_base in iter_parent_pmd_tables(parent_mm):
@@ -221,11 +164,7 @@ def copy_mm_odf(kernel, parent_mm, child_mm, share_huge=False):
         if present.any():
             shared_tables += share_pmd_entries(
                 kernel, parent_mm, child_mm, builder, parent_pmd, table_base,
-                present, copy_rss, share_huge)
-    if copy_rss:
-        child_mm.add_rss(parent_mm.rss_file_pages, file_backed=True)
-        child_mm.add_rss(parent_mm.rss_anon_pages, file_backed=False)
-        kernel.fastpath_counts["odfork_rss_copied"] += 1
+                present, share_huge)
     kernel.cost.charge_share_tables(shared_tables)
     finish_odf_copy(kernel, parent_mm, child_mm, builder, shared_tables)
     return shared_tables
@@ -238,8 +177,7 @@ def odf_share_walk(kernel, parent_mm, child_mm):
     The same protocol as :func:`~repro.kernel.fork.classic_copy_walk`:
     each present slot's split-lock key before sharing it, ``SLOT_DONE``
     after.  The SMP fork flow drives it so the scheduler can interleave
-    other vCPUs between 2 MiB slots; each slot's RSS is counted as it
-    is shared, because a concurrent reclaim may edit shared tables.
+    other vCPUs between 2 MiB slots.
     """
     builder = begin_odf_copy(kernel, parent_mm, child_mm)
     shared_tables = 0
@@ -255,7 +193,7 @@ def odf_share_walk(kernel, parent_mm, child_mm):
         present[pmd_index] = True
         table_base = slot_start - pmd_index * LEVEL_SPAN[LEVEL_PMD]
         shared = share_pmd_entries(kernel, parent_mm, child_mm, builder, pmd,
-                                   table_base, present, copy_rss=False)
+                                   table_base, present)
         kernel.cost.charge_share_tables(shared)
         shared_tables += shared
         yield SLOT_DONE
@@ -272,7 +210,7 @@ def begin_odf_copy(kernel, parent_mm, child_mm):
 
 @must_hold("mmap_lock")
 def finish_odf_copy(kernel, parent_mm, child_mm, builder, shared_tables):
-    """Epilogue: upper-level copy, RSS/lineage, and the write-protect
+    """Epilogue: upper-level copy, lineage, and the write-protect
     shootdown.
 
     The PMD write-protect just revoked write permission on the whole

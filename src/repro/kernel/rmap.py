@@ -22,7 +22,7 @@ The interesting case is the paper's: a victim mapped through a PTE
 table *shared* by on-demand-fork.  :func:`try_to_unmap` does not
 unshare — one table object covers every sharer, and editing the shared
 table in place unmaps the page from all of them at once (each sharer's
-RSS shrinks and its TLB is flushed via the ``pt_sharers`` registry).
+TLB is flushed via the ``pt_sharers`` registry).
 The in-place edit is the cheap side of the unshare-or-edit decision;
 each shared table touched is counted in ``shared_table_unmaps`` and
 charged to the cost model so benchmarks see the price.
@@ -291,10 +291,9 @@ def try_to_unmap(kernel, pfn, slot):
     Each referencing table — dedicated or fork-shared — is edited in
     place; a shared table's edit unmaps the page from all sharers at
     once (one swap reference per table *object*, matching the ownership
-    rule).  Every affected mm loses the page from its RSS and gets a
-    full TLB flush.  Returns the page's remaining refcount (0 unless a
-    swap-cache entry, snapshot, or pin still holds it); the frame is
-    freed here when it hits zero.
+    rule).  Every affected mm gets a full TLB flush.  Returns the page's
+    remaining refcount (0 unless a swap-cache entry, snapshot, or pin
+    still holds it); the frame is freed here when it hits zero.
     """
     entry_value = make_swap_entry(slot)
     total = 0
@@ -308,19 +307,14 @@ def try_to_unmap(kernel, pfn, slot):
             # The unshare-or-edit decision: edit in place, charge for it.
             kernel.stats.shared_table_unmaps += 1
             kernel.cost.charge_shared_table_unmap()
-        sharers = list(kernel.pt_sharers.get(leaf.pfn, ()))
-        for mm in sharers:
-            mm.sub_rss(n, file_backed=False)
         # Unmapping changes translations under every sharer at once, and
         # any vCPU running one of them must be interrupted too.
-        kernel.tlbs.shootdown_sharers(leaf.pfn, mms=sharers)
+        kernel.tlbs.shootdown_sharers(leaf.pfn)
         total += n
     if total:
         _unmapped(kernel, pfn, total)
     kernel.cost.charge_rmap_unmap(total)
-    remaining = kernel.pages.get_ref(pfn)
-    for _ in range(total):
-        remaining = kernel.pages.ref_dec(pfn)
+    remaining = kernel.pages.ref_dec(pfn, total)
     if remaining == 0:
         free_one_anon_frame(kernel, pfn)
     return remaining

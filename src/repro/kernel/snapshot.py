@@ -39,14 +39,12 @@ from ..sancheck.annotations import acquires, releases_refs
 import numpy as np
 
 from ..errors import InvalidArgumentError, KernelBug
-from ..mem.page import PAGE_SIZE
 from ..paging.entries import BIT_RW, entry_pfn, is_huge, is_present, present_mask
 from ..paging.table import PMD_REGION_SIZE
 from .fork import iter_parent_slots
 from .rmap import rmap_add_bulk, rmap_remove_bulk
 from .tableops import (
     copy_shared_pte_table,
-    count_file_pages,
     free_anon_frames,
     private_cow_mask,
 )
@@ -164,7 +162,6 @@ class Snapshot:
             current = leaf.entries[positions]
             current_present = present_mask(current)
             drop_pfns = entry_pfn(current[current_present]).astype(np.int64)
-            drop_file = count_file_pages(kernel, drop_pfns)
             if len(drop_pfns):
                 rmap_remove_bulk(kernel, drop_pfns)
                 zeroed = kernel.pages.ref_dec_bulk(drop_pfns)
@@ -181,13 +178,6 @@ class Snapshot:
                 # Re-take the table-ownership references for the pages the
                 # table is about to map again; the snapshot keeps its own.
                 kernel.pages.ref_inc_bulk(keep_pfns)
-            # Residency changes with the entry swap (a page demand-zeroed
-            # after the snapshot rolls back to absent, a page swapped out
-            # before it rolls back to resident): account the delta.
-            keep_file = count_file_pages(kernel, keep_pfns)
-            self.mm.add_rss(keep_file - drop_file, file_backed=True)
-            self.mm.add_rss((len(keep_pfns) - keep_file)
-                            - (len(drop_pfns) - drop_file))
             leaf.entries[positions] = saved_slice
             rmap_add_bulk(kernel, keep_pfns, leaf, positions[saved_present])
             restored_entries += len(positions)

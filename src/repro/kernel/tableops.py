@@ -31,6 +31,7 @@ from ..errors import KernelBug
 from ..mem.page import PAGE_SIZE, PG_FILE, PTRS_PER_TABLE, has_duplicates
 from ..paging.entries import (
     BIT_RW,
+    ENTRY_NONE,
     entry_pfn,
     make_entry,
     present_mask,
@@ -49,6 +50,21 @@ def drop_table_sharer(kernel, leaf_pfn, mm):
         raise KernelBug(
             f"mm {mm.owner_pid} is not a registered sharer of table {leaf_pfn}"
         ) from None
+
+
+@must_hold("mmap_lock", "ptl")
+@tlb_deferred("exit_mmap shoots the dying mm down once after the walk")
+@charge_deferred("callers charge one table put per dropped table")
+def drop_shared_tables(kernel, mm, pmd_table, positions, leaf_pfns):
+    """Drop ``mm``'s reference on the shared leaf tables ``leaf_pfns``,
+    mapped at ``positions`` of ``pmd_table``, in one step (§3.3: the
+    entries stay for the other sharers); returns how many it dropped."""
+    for leaf_pfn in leaf_pfns.tolist():
+        drop_table_sharer(kernel, leaf_pfn, mm)
+    kernel.pages.pt_refcount[leaf_pfns] -= 1
+    pmd_table.entries[positions] = ENTRY_NONE
+    mm.nr_pte_tables -= len(positions)
+    return len(positions)
 
 
 def table_present_pfns(table, lo_index=0, hi_index=PTRS_PER_TABLE):
@@ -108,23 +124,6 @@ def write_protect(entries, cow_mask, all_cow):
         entries[cow_mask] &= DROP_RW
 
 
-def count_file_pages(kernel, pfns):
-    """How many of ``pfns`` are page-cache pages (for RSS bookkeeping)."""
-    if len(pfns) == 0:
-        return 0
-    return int(np.count_nonzero(kernel.pages.flags[pfns] & PG_FILE))
-
-
-def maps_file_pages(mm, start, end):
-    """Whether a file-backed VMA overlaps ``[start, end)``.
-
-    Only those map ``PG_FILE`` frames (``repro.verify.audit_machine``
-    checks it), so the fork copies read the page flags for the child's
-    file RSS only where this holds.
-    """
-    return any(vma.is_file_backed for vma in mm.vmas.overlapping(start, end))
-
-
 @charge_deferred("callers charge charge_zap_entries for the batch")
 def free_anon_frames(kernel, pfns):
     """Free anonymous frames whose refcount reached zero."""
@@ -157,19 +156,12 @@ def release_table_references(kernel, mm, table, charge=True):
 
 
 @must_hold("mmap_lock")
-def put_pte_table(kernel, mm, table, account_rss=True, charge=True):
+def put_pte_table(kernel, mm, table, charge=True):
     """Drop one sharer's reference on a leaf table (§3.5 lifecycle).
 
-    ``mm`` is the process releasing its reference; its RSS shrinks by the
-    pages the table currently maps whether or not the table survives,
-    because those pages are no longer reachable from this address space.
-    Returns the new refcount.
+    ``mm`` is the process releasing its reference.  Returns the new
+    refcount.
     """
-    if account_rss:
-        _, pfns = table_present_pfns(table)
-        n_file = count_file_pages(kernel, pfns)
-        mm.sub_rss(n_file, file_backed=True)
-        mm.sub_rss(len(pfns) - n_file, file_backed=False)
     if charge:
         kernel.cost.charge_table_put()
     drop_table_sharer(kernel, table.pfn, mm)
@@ -231,10 +223,10 @@ def copy_shared_pte_table(kernel, mm, pmd_table, pmd_index, slot_start):
     pmd_table.set(pmd_index, make_entry(new_table.pfn, writable=True, user=True))
     kernel.note_table_write(pmd_table)
 
-    # One fewer sharer of the old table.  RSS does not change: this mm
-    # still maps the same pages, now through its own copy — and its PMD
-    # entry count is likewise unchanged (alloc_table counted the copy, so
-    # un-count the table the entry no longer points to).
+    # One fewer sharer of the old table.  This mm still maps the same
+    # pages, now through its own copy, and its PMD entry count is
+    # unchanged (alloc_table counted the copy, so un-count the table the
+    # entry no longer points to).
     mm.nr_pte_tables -= 1
     remaining = kernel.pages.pt_ref_dec(old_table.pfn)
     if remaining == 0:

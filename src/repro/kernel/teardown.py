@@ -16,8 +16,10 @@ workloads are bounded by fork + child-exit, and the per-entry
 ``zap_pte_range`` work (refcount decrements, free batching) is what makes
 classic fork's exits expensive while odfork children exit in microseconds.
 The shared-table release is vectorised at PMD-table granularity on the
-exit path (``account_rss=False``), mirroring how cheap the real operation
-is: one refcount decrement per table, no per-page work.
+exit path (:func:`~repro.kernel.tableops.drop_shared_tables`, which the
+exit fast path calls too), mirroring how cheap the real operation is: one
+refcount decrement per table, no per-page work.  Nothing here keeps RSS:
+:meth:`~repro.kernel.mm.MMStruct.rss_counts` reads it from the tables.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from ..sancheck.annotations import acquires, must_hold, tlb_deferred
 import numpy as np
 
 from ..errors import InvalidArgumentError, KernelBug
-from ..mem.page import HUGE_PAGE_ORDER, PAGE_SIZE
+from ..mem.page import PAGE_SIZE
 from ..paging.entries import (
     BIT_PS,
     ENTRY_NONE,
@@ -40,8 +42,7 @@ from .fork import iter_parent_pmd_tables
 from .rmap import rmap_remove_bulk
 from .tableops import (
     copy_shared_pte_table,
-    count_file_pages,
-    drop_table_sharer,
+    drop_shared_tables,
     free_anon_frames,
     put_pte_table,
     table_present_pfns,
@@ -50,7 +51,7 @@ from .tableops import (
 
 @must_hold("mmap_lock")
 @acquires("ptl")
-def zap_range(kernel, mm, start, end, account_rss=True):
+def zap_range(kernel, mm, start, end):
     """Clear all translations for ``[start, end)`` and release pages."""
     if start % PAGE_SIZE or end % PAGE_SIZE:
         raise InvalidArgumentError("zap range must be page-aligned")
@@ -70,7 +71,7 @@ def zap_range(kernel, mm, start, end, account_rss=True):
                 entry = pmd_table.entries[pmd_index]
             else:
                 _zap_huge(kernel, mm, pmd_table, pmd_index, slot_start, lo,
-                          hi, account_rss)
+                          hi)
                 continue
 
         leaf = mm.resolve(int(entry_pfn(entry)))
@@ -81,17 +82,17 @@ def zap_range(kernel, mm, start, end, account_rss=True):
                 # for the other sharers.
                 pmd_table.clear(pmd_index)
                 mm.nr_pte_tables -= 1
-                put_pte_table(kernel, mm, leaf, account_rss=account_rss)
+                put_pte_table(kernel, mm, leaf)
                 continue
             # §3.3 slow path: other VMAs of this process still live under
             # this table, so take a private copy before clearing entries.
             leaf = copy_shared_pte_table(kernel, mm, pmd_table, pmd_index, slot_start)
 
-        _zap_dedicated_entries(kernel, mm, leaf, slot_start, lo, hi, account_rss)
+        _zap_dedicated_entries(kernel, mm, leaf, slot_start, lo, hi)
         if leaf.is_empty():
             pmd_table.clear(pmd_index)
             mm.nr_pte_tables -= 1
-            put_pte_table(kernel, mm, leaf, account_rss=False)
+            put_pte_table(kernel, mm, leaf)
 
     # Freed frames must not stay reachable through any CPU's TLB.
     kernel.tlbs.shootdown_mm(mm, start, end)
@@ -99,14 +100,11 @@ def zap_range(kernel, mm, start, end, account_rss=True):
 
 @must_hold("mmap_lock", "ptl")
 @tlb_deferred("zap_range shoots the whole range down after the walk")
-def _zap_huge(kernel, mm, pmd_table, pmd_index, slot_start, lo, hi,
-              account_rss=True):
+def _zap_huge(kernel, mm, pmd_table, pmd_index, slot_start, lo, hi):
     if lo != slot_start or hi != slot_start + PMD_REGION_SIZE:
         raise InvalidArgumentError("hugetlb mappings unmap at 2 MiB granularity")
     head = int(entry_pfn(pmd_table.entries[pmd_index]))
     pmd_table.clear(pmd_index)
-    if account_rss:
-        mm.sub_rss(1 << HUGE_PAGE_ORDER, file_backed=False)
     kernel.cost.charge_zap_entries(1)
     if kernel.pages.ref_dec(head) == 0:
         kernel.free_huge_frame(head)
@@ -114,15 +112,11 @@ def _zap_huge(kernel, mm, pmd_table, pmd_index, slot_start, lo, hi,
 
 @must_hold("mmap_lock", "ptl")
 @tlb_deferred("zap_range shoots the whole range down after the walk")
-def _zap_dedicated_entries(kernel, mm, leaf, slot_start, lo, hi, account_rss=True):
+def _zap_dedicated_entries(kernel, mm, leaf, slot_start, lo, hi):
     lo_index = (lo - slot_start) // PAGE_SIZE
     hi_index = (hi - slot_start) // PAGE_SIZE
     indices, pfns = table_present_pfns(leaf, lo_index, hi_index)
     if len(pfns):
-        if account_rss:
-            n_file = count_file_pages(kernel, pfns)
-            mm.sub_rss(n_file, file_backed=True)
-            mm.sub_rss(len(pfns) - n_file, file_backed=False)
         rmap_remove_bulk(kernel, pfns)
         zeroed = kernel.pages.ref_dec_bulk(pfns)
         free_anon_frames(kernel, zeroed)
@@ -136,13 +130,10 @@ def _zap_dedicated_entries(kernel, mm, leaf, slot_start, lo, hi, account_rss=Tru
 @must_hold("mmap_lock", "ptl")
 @tlb_deferred("exit_mmap shoots the dying mm down once after the walk")
 def _exit_release_pmd_table(kernel, mm, pmd_table, table_base):
-    """Release every mapping a PMD table reaches, vectorised.
+    """Release every mapping a PMD table reaches (the exit path).
 
-    Only safe on the exit path: the whole address space is going away, so
-    per-table RSS accounting is unnecessary.  Shared leaf tables are
-    released with one bulk refcount decrement; tables whose count reaches
-    zero, dedicated tables, and huge entries fall back to the per-slot
-    logic.
+    Shared leaf tables are released with one bulk refcount decrement;
+    dedicated tables and huge entries take the per-slot logic.
     """
     entries = pmd_table.entries
     present = present_mask(entries)
@@ -155,26 +146,23 @@ def _exit_release_pmd_table(kernel, mm, pmd_table, table_base):
         refs = kernel.pages.pt_refcount[pfns]
         surviving = refs > 1
         if surviving.any():
-            drop_positions = leaf_positions[surviving]
-            for leaf_pfn in pfns[surviving].tolist():
-                drop_table_sharer(kernel, leaf_pfn, mm)
-            kernel.pages.pt_refcount[pfns[surviving]] -= 1
-            entries[drop_positions] = ENTRY_NONE
-            mm.nr_pte_tables -= len(drop_positions)
-            kernel.cost.charge_table_put(len(drop_positions))
+            n_dropped = drop_shared_tables(kernel, mm, pmd_table,
+                                           leaf_positions[surviving],
+                                           pfns[surviving])
+            kernel.cost.charge_table_put(n_dropped)
         for position in leaf_positions[~surviving].tolist():
             leaf = mm.resolve(int(entry_pfn(entries[position])))
             slot_start = table_base + position * LEVEL_SPAN[LEVEL_PMD]
             _zap_dedicated_entries(kernel, mm, leaf, slot_start, slot_start,
-                                   slot_start + PMD_REGION_SIZE, account_rss=False)
+                                   slot_start + PMD_REGION_SIZE)
             # sancheck: ignore[clock-charge] -- the per-slot helpers above charge zap/table costs for every populated table; the PMD-entry clear itself is below resolution
             entries[position] = ENTRY_NONE
             mm.nr_pte_tables -= 1
-            put_pte_table(kernel, mm, leaf, account_rss=False)
+            put_pte_table(kernel, mm, leaf)
     for position in np.nonzero(present & huge)[0].tolist():
         slot_start = table_base + position * LEVEL_SPAN[LEVEL_PMD]
         _zap_huge(kernel, mm, pmd_table, int(position), slot_start, slot_start,
-                  slot_start + PMD_REGION_SIZE, account_rss=False)
+                  slot_start + PMD_REGION_SIZE)
 
 
 @acquires("mmap_lock", "ptl")
@@ -206,8 +194,6 @@ def exit_mmap(kernel, mm):
     mm.free_table_frame(mm.pgd)
     kernel.cost.charge_table_free()
     mm.nr_upper_tables = 0
-    mm.rss_anon_pages = 0
-    mm.rss_file_pages = 0
     mm.dead = True
     if mm.nr_pte_tables != 0:
         raise KernelBug(f"PTE-table accounting leak at exit: {mm.nr_pte_tables}")

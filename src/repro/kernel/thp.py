@@ -167,7 +167,7 @@ class Khugepaged:
         leaf.entries[:] = 0
         pmd_table.clear(pmd_index)
         mm.nr_pte_tables -= 1
-        put_pte_table(kernel, mm, leaf, account_rss=False)
+        put_pte_table(kernel, mm, leaf)
 
         pmd_table.set(pmd_index, make_entry(
             head, writable=vma.writable, user=True, huge=True,

@@ -110,9 +110,10 @@ class PageStructArray:
         self.refcount[pfn] = new
         return new
 
-    def ref_dec(self, pfn):
-        """Decrement and return the new refcount; negative counts are bugs."""
-        new = self.refcount.item(pfn) - 1
+    def ref_dec(self, pfn, n=1):
+        """Drop ``n`` references and return the new refcount; negative
+        counts are bugs."""
+        new = self.refcount.item(pfn) - n
         self.refcount[pfn] = new
         if new < 0:
             raise KernelBug(f"page refcount underflow on pfn {pfn}")

@@ -1,7 +1,7 @@
 """Virtual time, calibrated costs, noise, and contention modelling."""
 
 from .clock import NSEC_PER_MSEC, NSEC_PER_SEC, NSEC_PER_USEC, SimClock, Stopwatch
-from .contention import ConcurrencyTracker, contention_group
+from .contention import contention_group
 from .costs import CostModel, CostParams
 from .noise import NoiseModel
 
@@ -11,7 +11,6 @@ __all__ = [
     "CostModel",
     "CostParams",
     "NoiseModel",
-    "ConcurrencyTracker",
     "contention_group",
     "NSEC_PER_USEC",
     "NSEC_PER_MSEC",

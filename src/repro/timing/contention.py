@@ -44,33 +44,3 @@ def contention_group(cost_model, n_concurrent):
         yield cost_model
     finally:
         cost_model.contention_level = previous
-
-
-class ConcurrencyTracker:
-    """Reference-counted contention level for nested or overlapping groups.
-
-    Applications that fork from several simulated processes (e.g. parallel
-    test harnesses) register activity here rather than setting the level
-    directly, so overlapping groups compose.
-    """
-
-    def __init__(self, cost_model):
-        self._cost_model = cost_model
-        self._active = 0
-
-    @property
-    def active(self):
-        """Number of currently forking processes."""
-        return self._active
-
-    @contextmanager
-    def forking(self):
-        """Mark one process as inside a fork-like syscall."""
-        self._active += 1
-        previous = self._cost_model.contention_level
-        self._cost_model.contention_level = max(1, self._active)
-        try:
-            yield
-        finally:
-            self._active -= 1
-            self._cost_model.contention_level = previous

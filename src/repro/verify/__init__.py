@@ -17,7 +17,12 @@ CLI: ``python -m repro.verify --traces N --seed S [--failpoints]``.
 """
 
 from .audit import audit_machine
-from .oracle import check_trace, enumerate_failpoints, run_differential
+from .oracle import (
+    check_trace,
+    enumerate_failpoints,
+    physical_layout,
+    run_differential,
+)
 from .shrink import shrink_trace
 from .trace import TraceExecutor, generate_trace, load_trace, save_trace
 
@@ -25,6 +30,7 @@ __all__ = [
     "audit_machine",
     "check_trace",
     "enumerate_failpoints",
+    "physical_layout",
     "run_differential",
     "shrink_trace",
     "TraceExecutor",

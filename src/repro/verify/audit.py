@@ -1,10 +1,10 @@
 """Exhaustive kernel-state cross-checks (tests, benchmarks, the fuzzer).
 
-``audit_machine`` recomputes every reference count and RSS counter from
-first principles — walking each live address space's paging tree and the
-page cache — and compares against the kernel's incremental accounting.
-Any drift (the bug class that makes real kernels corrupt memory) fails
-loudly.
+``audit_machine`` recomputes every reference count and each address
+space's RSS from first principles — walking each live address space's
+paging tree and the page cache — and compares against the kernel's
+accounting.  Any drift (the bug class that makes real kernels corrupt
+memory) fails loudly.
 
 Lives in ``repro.verify`` so the trace oracle, the benchmarks, and the
 test suite share one auditor; ``tests/auditor.py`` is a re-export shim.
@@ -28,12 +28,11 @@ from ..mem.page import (
 from ..paging import (
     entry_pfn,
     is_huge,
-    is_present,
     present_mask,
     swap_entry_slot,
     swap_mask,
 )
-from ..paging.table import LEVEL_PGD, LEVEL_PMD, LEVEL_PTE, LEVEL_PUD, LEVEL_SPAN
+from ..paging.table import LEVEL_PGD, LEVEL_PMD, LEVEL_PUD, LEVEL_SPAN
 
 
 def audit_machine(machine):
@@ -181,10 +180,10 @@ def audit_machine(machine):
 
 
 def _audit_rss(pages, mm, leaves, n_huge):
-    """An mm's RSS counters must equal what its tables map: 512 anon pages
-    per huge entry, and one page per present leaf entry, file-backed when
-    the page is ``PG_FILE``.  A ``PG_FILE`` page must lie in a file-backed
-    VMA: the fork copies count file RSS only there."""
+    """An mm's RSS must equal what this walk finds its tables map: 512
+    anon pages per huge entry, and one page per present leaf entry,
+    file-backed when the page is ``PG_FILE``.  A ``PG_FILE`` page must
+    lie in a file-backed VMA."""
     errors = []
     anon = n_huge << HUGE_PAGE_ORDER
     file = 0
@@ -205,10 +204,10 @@ def _audit_rss(pages, mm, leaves, n_huge):
                         f"mm of pid {mm.owner_pid}: file page "
                         f"{int(entry_pfn(entries[index]))} mapped at "
                         f"{vaddr:#x} outside a file mapping")
-    if (mm.rss_anon_pages, mm.rss_file_pages) != (anon, file):
+    rss = mm.rss_counts()
+    if rss != (anon, file):
         errors.append(f"mm of pid {mm.owner_pid}: RSS anon/file "
-                      f"{mm.rss_anon_pages}/{mm.rss_file_pages}, walk found "
-                      f"{anon}/{file}")
+                      f"{rss[0]}/{rss[1]}, walk found {anon}/{file}")
     return errors
 
 

@@ -29,6 +29,7 @@ verify machine sizing makes it effectively unreachable in practice.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from itertools import product
 
@@ -112,7 +113,7 @@ def _diff_state(index, state_a, state_b, pair, name_a, name_b):
         return [Finding("state", index,
                         f"live procs {sorted(procs_a)} vs {sorted(procs_b)}",
                         pair)]
-    # A process's smaps disagreeing with its RSS counter is an invariant
+    # A process's smaps disagreeing with its RSS is an invariant
     # violation on that machine alone — flag it even if both sides match.
     for name, procs in ((name_a, procs_a), (name_b, procs_b)):
         for pid, snap in procs.items():
@@ -294,9 +295,10 @@ def check_trace_equivalence(trace, flavors=("classic", "odfork"), smp=2):
     enabled (the default), one forced per-event via
     ``Machine(fastpath=False)`` — and diffs everything the oracle can
     see, then tears both down and leak-checks them (teardown itself has
-    a fast path to prove equivalent).  The pairs run again on
-    ``Machine(smp=smp)``: the trace never starts its scheduler, so the
-    fast path engages on an idle SMP machine.
+    a fast path to prove equivalent).  The allocator state must agree
+    too: :func:`physical_layout` after the trace and after teardown.
+    The pairs run again on ``Machine(smp=smp)``: the trace never starts
+    its scheduler, so the fast path engages on an idle SMP machine.
     """
     findings = []
     for cpus, flavor in product((None, smp), flavors):
@@ -325,13 +327,40 @@ def check_trace_equivalence(trace, flavors=("classic", "odfork"), smp=2):
                             f"virtual clock diverges: fastpath={ns_fast} vs "
                             f"per-event={ns_slow} "
                             f"(delta {ns_fast - ns_slow} ns)", pair)]
+        findings += _layout_findings(trace, exec_fast, exec_slow, pair,
+                                     "after the trace")
         for tag, executor in ((f"{pair}:fast", exec_fast),
                               (f"{pair}:per-event", exec_slow)):
             findings.extend(Finding("leak", len(trace["ops"]), error, tag)
                             for error in check_clean_shutdown(executor))
+        findings += _layout_findings(trace, exec_fast, exec_slow, pair,
+                                     "after teardown")
         if findings:
             return findings
     return findings
+
+
+def physical_layout(machine):
+    """Digest the buddy free lists, allocation orders and every packed
+    entry row: which frames the kernel handed out, in which order, and
+    where they are mapped.  Logical digests see none of it."""
+    allocator = machine.kernel.allocator
+    h = hashlib.sha256(repr(allocator._free_lists).encode())
+    h.update(allocator._alloc_order.tobytes())
+    for chunk in machine.kernel.entry_store.chunks:
+        h.update(chunk.tobytes())
+    return h.hexdigest()[:16]
+
+
+def _layout_findings(trace, exec_fast, exec_slow, pair, when):
+    """A ``state`` finding when the pair's physical layouts differ."""
+    fast = physical_layout(exec_fast.machine)
+    slow = physical_layout(exec_slow.machine)
+    if fast == slow:
+        return []
+    return [Finding("state", len(trace["ops"]),
+                    f"physical layout diverges {when}: fastpath={fast} vs "
+                    f"per-event={slow}", pair)]
 
 
 #: Fail-point sites on the bulk paths the fast path vectorises; arming any

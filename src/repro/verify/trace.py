@@ -628,7 +628,7 @@ class TraceExecutor:
                 yield _ZERO_PAGE
 
     def _smaps_consistent(self, process):
-        """Internal invariant: per-VMA residency sums to the RSS counter."""
+        """Internal invariant: per-VMA residency sums to the RSS."""
         resident = sum(v["rss_bytes"] for v in process.smaps())
         return resident == process.status()["vm_rss_bytes"]
 

@@ -69,9 +69,8 @@ class TestCLI:
         table = next(t for t in json.loads(out.read_text())
                      if t["exp_id"] == "fastpath")
         assert table["headers"] == ["experiment", "fill_engaged",
-                                    "fork_engaged", "exit_engaged",
-                                    "odfork_rss_copied", "bailed"]
-        assert table["rows"] == [["table1", 1024, 20, 33, 10, 0]]
+                                    "fork_engaged", "exit_engaged", "bailed"]
+        assert table["rows"] == [["table1", 1024, 20, 33, 0]]
         assert table["notes"] == "no bails"
 
     def test_registry_complete(self):

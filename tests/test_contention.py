@@ -1,16 +1,10 @@
-"""Contention plumbing: groups, trackers, nesting."""
+"""Contention plumbing: groups and their end-to-end effect."""
 
 import pytest
 
 from repro import GIB, MIB, Machine
 from repro.errors import InvalidArgumentError
-from repro.timing import (
-    ConcurrencyTracker,
-    CostModel,
-    CostParams,
-    SimClock,
-    contention_group,
-)
+from repro.timing import CostModel, CostParams, SimClock, contention_group
 
 
 class TestContentionGroup:
@@ -32,30 +26,6 @@ class TestContentionGroup:
         with pytest.raises(InvalidArgumentError):
             with contention_group(model, 0):
                 pass
-
-
-class TestConcurrencyTracker:
-    def test_overlapping_forks_compose(self):
-        model = CostModel(clock=SimClock(), params=CostParams())
-        tracker = ConcurrencyTracker(model)
-        with tracker.forking():
-            assert model.contention_level == 1
-            with tracker.forking():
-                assert model.contention_level == 2
-                with tracker.forking():
-                    assert model.contention_level == 3
-                assert model.contention_level == 2
-        assert tracker.active == 0
-        assert model.contention_level == 1
-
-    def test_charges_scale_inside_group(self):
-        alone = CostModel(clock=SimClock(), params=CostParams())
-        alone.charge_copy_pte_entries(10_000)
-        crowded = CostModel(clock=SimClock(), params=CostParams())
-        tracker = ConcurrencyTracker(crowded)
-        with tracker.forking(), tracker.forking(), tracker.forking():
-            crowded.charge_copy_pte_entries(10_000)
-        assert crowded.clock.now_ns > alone.clock.now_ns * 2
 
 
 class TestEndToEndContention:

@@ -471,9 +471,9 @@ def _payload(fork_ms=7.0, odfork_ms=0.1, speedup=70.0, fault_ms=0.003,
          "notes": ""},
         {"exp_id": "fastpath", "title": "fastpath",
          "headers": ["experiment", "fill_engaged", "fork_engaged",
-                     "exit_engaged", "odfork_rss_copied", "bailed"],
-         "rows": [["fig7", fig7_fills, 40, 344, 21, 0],
-                  ["faas", 74, 1015, 2036, 1015, 0]],
+                     "exit_engaged", "bailed"],
+         "rows": [["fig7", fig7_fills, 40, 344, 0],
+                  ["faas", 74, 1015, 2036, 0]],
          "notes": "no bails"},
     ]
 
@@ -538,6 +538,16 @@ class TestCompareGate:
         del base["fig7.fork_ms@1gb"]
         _, regressions = compare.compare_payloads(_payload(), base)
         assert any("not in baseline" in r for r in regressions)
+
+    def test_stale_baseline_key_is_a_regression(self):
+        # A baseline row no tracked metric reads would otherwise linger
+        # unchecked after its metric is retired.
+        base = compare.extract_all(_payload())
+        base["fastpath.retired_count@fig7"] = 21
+        deltas, regressions = compare.compare_payloads(_payload(), base)
+        assert len(deltas) == len(compare.TRACKED)
+        assert regressions == ["fastpath.retired_count@fig7: stale baseline "
+                               "entry, no tracked metric reads it (remove it)"]
 
     def test_cli_seed_then_pass_then_fail(self, tmp_path, capsys):
         current = tmp_path / "current.json"

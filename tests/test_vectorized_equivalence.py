@@ -21,7 +21,7 @@ import pytest
 
 from repro import MAP_PRIVATE, Machine
 from repro.kernel.kernel import MADV_DONTNEED, MADV_HUGEPAGE
-from repro.verify import audit_machine
+from repro.verify import audit_machine, physical_layout
 
 MIB = 1024 * 1024
 GIB = 1024 * MIB
@@ -45,18 +45,6 @@ def fingerprint(machine, procs_and_regions):
         h.update(f"{name}={getattr(stats, name)}".encode())
     h.update(str(machine.kernel.clock.now_ns).encode())
     h.update(str(machine.used_frames()).encode())
-    return h.hexdigest()[:16]
-
-
-def physical_layout(machine):
-    """Digest the buddy free lists, allocation orders and every packed
-    entry row: which frames the kernel handed out, in which order, and
-    where they are mapped.  ``fingerprint`` sees only logical state."""
-    allocator = machine.kernel.allocator
-    h = hashlib.sha256(repr(allocator._free_lists).encode())
-    h.update(allocator._alloc_order.tobytes())
-    for chunk in machine.kernel.entry_store.chunks:
-        h.update(chunk.tobytes())
     return h.hexdigest()[:16]
 
 
@@ -131,8 +119,8 @@ def fault_mix_flow(machine):
 
 def odfork_rss_flow(machine):
     # The parent spans three PMD tables and maps anon, huge, shared-file
-    # and private-file pages, so the child's RSS copied from the parent
-    # must match the per-GiB count on every kind of page.
+    # and private-file pages, so the child's RSS covers every kind of
+    # page its shared tables map.
     blob = machine.kernel.fs.create("/data/odfork-blob", size=1 * MIB)
     blob.set_initial_contents(b"file page zero", offset=0)
     parent = machine.spawn_process("parent")
@@ -478,17 +466,17 @@ def _assert_same_layout(scenario, **machine_kwargs):
 
 
 @pytest.fixture
-def rss_counts(monkeypatch):
-    """Kswapd wakeups seen at each per-GiB RSS count odfork makes."""
+def share_wakeups(monkeypatch):
+    """Kswapd wakeups seen at each PMD table odfork shares."""
     import repro.kernel.odfork as odfork
     seen = []
-    count = odfork._account_shared_tables_rss_bulk
+    share = odfork.share_pmd_entries
 
-    def spy(kernel, *args):
+    def spy(kernel, *args, **kwargs):
         seen.append(kernel.stats.kswapd_wakeups)
-        return count(kernel, *args)
+        return share(kernel, *args, **kwargs)
 
-    monkeypatch.setattr(odfork, "_account_shared_tables_rss_bulk", spy)
+    monkeypatch.setattr(odfork, "share_pmd_entries", spy)
     return seen
 
 
@@ -497,25 +485,26 @@ def _walked_rss(process):
 
 
 class TestOdforkRss:
-    def test_copied_when_headroom_holds(self, rss_counts):
+    """An odfork child's RSS is what its shared tables map."""
+
+    def test_copied_when_headroom_holds(self):
         machine = Machine(phys_mb=64)
         parent = machine.spawn_process("parent")
         addr = parent.mmap(GIB + 4 * MIB)
         parent.touch_range(addr, 2 * MIB, write=True)
         parent.touch_range(addr + GIB, 2 * MIB, write=True)
         child = parent.odfork("child")
-        assert rss_counts == []
         assert child.rss_bytes == parent.rss_bytes == _walked_rss(child)
 
-    def test_reference_path_counts(self, rss_counts):
+    def test_reference_path_counts(self):
         machine = Machine(phys_mb=64, fastpath=False)
         parent = machine.spawn_process("parent")
         addr = parent.mmap(4 * MIB)
         parent.touch_range(addr, 4 * MIB, write=True)
-        parent.odfork("child")
-        assert len(rss_counts) == 1
+        child = parent.odfork("child")
+        assert child.rss_bytes == parent.rss_bytes == _walked_rss(child)
 
-    def test_counted_when_kswapd_runs_mid_copy(self, rss_counts):
+    def test_counted_when_kswapd_runs_mid_copy(self, share_wakeups):
         machine = Machine(phys_mb=32, swap_mb=64)
         kernel = machine.kernel
         wm_low = kernel.reclaim.wm_low
@@ -532,9 +521,10 @@ class TestOdforkRss:
             page += 1
         assert kernel.stats.kswapd_wakeups == 0
         child = parent.odfork("child")
-        # The headroom proof failed, so every table was counted as it
-        # was shared, and kswapd ran between the first and last count.
-        assert rss_counts[0] == 0 and rss_counts[-1] == 1
+        # The copy's table allocations woke kswapd between the first and
+        # the last table share, so it swapped out pages of tables the
+        # child already shared.
+        assert share_wakeups[0] == 0 and share_wakeups[-1] == 1
         assert machine.vmstat()["pswpout"] > 0
         assert child.rss_bytes == _walked_rss(child)
         audit_machine(machine)
@@ -593,15 +583,13 @@ class TestEngagementCounters:
     def test_scripted_counts(self):
         assert self._script(Machine(phys_mb=64)) == {
             "fill_engaged": 4, "fork_engaged": 1, "exit_engaged": 2,
-            "odfork_rss_copied": 1,
         }
 
     def test_reference_machine_never_engages(self):
         assert self._script(Machine(phys_mb=64, fastpath=False)) == {
             "fill_engaged": 0, "fork_engaged": 0, "exit_engaged": 0,
-            "odfork_rss_copied": 0,
             "fill_bailed.disabled": 4, "fork_bailed.disabled": 1,
-            "exit_bailed.disabled": 2, "odfork_rss_bailed.disabled": 1,
+            "exit_bailed.disabled": 2,
         }
 
     def test_counters_stay_out_of_vmstat(self):
@@ -637,7 +625,7 @@ class TestEngagementCounters:
             proc.touch_range(addr, 4 * MIB, write=True)
         assert machine.metrics.collect("fastpath") == {
             "fill_engaged": 0, "fork_engaged": 0, "exit_engaged": 0,
-            "odfork_rss_copied": 0, f"fill_bailed.{reason}": 2,
+            f"fill_bailed.{reason}": 2,
         }
 
     def test_smp_refuses_only_while_running(self):
@@ -663,6 +651,5 @@ class TestEngagementCounters:
         machine.smp.run()
         assert machine.metrics.collect("fastpath") == {
             "fill_engaged": 4, "fork_engaged": 1, "exit_engaged": 1,
-            "odfork_rss_copied": 0, "fill_bailed.smp": 4,
-            "fork_bailed.smp": 1, "exit_bailed.smp": 1,
+            "fill_bailed.smp": 4, "fork_bailed.smp": 1, "exit_bailed.smp": 1,
         }

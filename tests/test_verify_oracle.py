@@ -90,6 +90,41 @@ def test_oracle_catches_and_shrinks_missing_parent_wp():
 
 
 # --------------------------------------------------------------------- #
+# The equivalence leg checks allocator state
+
+
+_FORK_TRACE = {"format": 1, "seed": 0, "ops": [
+    {"op": "mmap", "proc": 0, "region": 0, "pages": 1024, "huge": False},
+    {"op": "touch", "proc": 0, "region": 0, "lo": 0, "hi": 1024,
+     "write": True},
+    {"op": "fork", "proc": 0, "child": 1},
+    {"op": "exit", "proc": 1},
+]}
+
+
+def test_equivalence_leg_reports_a_layout_divergence(monkeypatch):
+    """A fast path that makes a buddy call the per-event walk does not
+    moves no logical state, clock or vmstat; the layout check sees it."""
+    import repro.kernel.kernel as kernel_module
+    from repro.verify.oracle import check_trace_equivalence
+
+    assert check_trace_equivalence(_FORK_TRACE, flavors=("classic",)) == []
+    real = kernel_module.fast_copy_mm_classic
+
+    def planted(kernel, parent_mm, child_mm):
+        engaged = real(kernel, parent_mm, child_mm)
+        if engaged:
+            kernel.allocator.free(kernel.allocator.alloc(0), 0)
+        return engaged
+
+    monkeypatch.setattr(kernel_module, "fast_copy_mm_classic", planted)
+    findings = check_trace_equivalence(_FORK_TRACE, flavors=("classic",))
+    assert [f.kind for f in findings] == ["state", "state"]
+    assert "physical layout diverges after the trace" in findings[0].detail
+    assert "physical layout diverges after teardown" in findings[1].detail
+
+
+# --------------------------------------------------------------------- #
 # Trace mechanics
 
 
