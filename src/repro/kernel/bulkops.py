@@ -63,11 +63,11 @@ from .fastpath import (
     fast_path_ok,
 )
 from .fault import swap_in_entry
-from .rmap import rmap_add_bulk, rmap_remove_bulk
+from .rmap import rmap_add_bulk
 from ..sancheck.annotations import acquires, must_hold
 from .tableops import (
     copy_shared_pte_table,
-    free_anon_frames,
+    drop_references,
     unshare_sole_owner,
 )
 
@@ -453,12 +453,11 @@ def _bulk_cow(kernel, mm, leaf, lo_index, sub, ro_mask, events):
     kernel.phys.copy_frames_bulk(src, dst)
     if kernel.rmap is not None:
         kernel.pages.ref_dec_bulk(src)  # the pins; refs stay >= 1 here
-        rmap_remove_bulk(kernel, src)
-    zeroed = kernel.pages.ref_dec_bulk(src)
-    free_anon_frames(kernel, zeroed)
+    drop_references(kernel, sub[copy_positions])
     sub[copy_positions] = _entries_for(dst, writable=True, dirty=True)
     kernel.note_table_write(leaf, n)
-    rmap_add_bulk(kernel, dst, leaf, lo_index + copy_positions)
+    # Fresh frames from the allocator: unique by construction.
+    rmap_add_bulk(kernel, dst, leaf, lo_index + copy_positions, _unique=True)
     warmth = params.odf_cow_warmth if mm.odf_lineage else 1.0
     cost.charge(
         "bulk_cow_copy",

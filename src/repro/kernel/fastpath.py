@@ -559,7 +559,6 @@ def fast_exit_release_pmd_table(kernel, mm, pmd_table, table_base):
         kernel.phys.zero_bulk(dead_pfns)
         pages.on_free_bulk(dead_pfns)
         entries[leaf_positions[~surviving]] = ENTRY_NONE
-        mm.nr_pte_tables -= n_dead
         ids = np.empty((n_dead, 3), dtype=np.int64)
         ids[:] = (_ID_ZAP, _ID_PUT, _ID_FREE)
         ns = np.empty((n_dead, 3), dtype=np.float64)

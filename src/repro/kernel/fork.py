@@ -21,7 +21,6 @@ from ..paging.entries import (
     is_huge,
     is_present,
     make_entry,
-    present_pfns,
 )
 from ..paging.table import (
     LEVEL_PGD,
@@ -32,6 +31,7 @@ from ..paging.table import (
 )
 from .tableops import (
     DROP_RW,
+    copy_references,
     private_cow_mask,
     write_protect,
 )
@@ -221,15 +221,7 @@ def classic_copy_slot(kernel, parent_mm, child_mm, builder, pmd, pmd_index,
     kernel.note_table_write(child_leaf, PTRS_PER_TABLE)
     kernel.charge_numa_copy(parent_leaf.pfn)
 
-    _, pfns = present_pfns(child_leaf.entries)
-    if len(pfns):
-        kernel.pages.ref_inc_bulk(pfns)
-    if kernel.swap is not None:
-        # Copied swap entries reference their slots too, and the copy's
-        # present anon pages gain a reverse mapping.
-        kernel.swap_dup_entries(child_leaf.entries)
-        from .rmap import rmap_add_bulk
-        rmap_add_bulk(kernel, pfns)
+    pfns = copy_references(kernel, child_leaf.entries)
     cost.charge_pte_table_alloc()
     cost.charge_copy_pte_entries(len(pfns))
     child_pmd.set(child_index, make_entry(child_leaf.pfn, writable=True, user=True))

@@ -1,9 +1,10 @@
 """The per-process memory descriptor (``mm_struct``).
 
-Owns the paging tree root (PGD), the VMA list, and the address-space
-counters.  Heavy operations — population, fault handling, fork copies,
-teardown — live in sibling modules and operate *on* an ``MMStruct``; this
-module provides the structural plumbing they share:
+Owns the paging tree root (PGD) and the VMA list; its counters (RSS,
+page-table counts) are read from the tables.  Heavy operations —
+population, fault handling, fork copies, teardown — live in sibling
+modules and operate *on* an ``MMStruct``; this module provides the
+structural plumbing they share:
 
 * allocating and freeing page-table nodes (page tables are pages: each is
   backed by a frame flagged ``PG_PAGETABLE``, and leaf tables get the
@@ -71,8 +72,6 @@ class MMStruct:
         self.users = 1
         self.vmas = VMAList()
         self.tlb = TLB()
-        self.nr_pte_tables = 0       # PMD entries pointing at leaf tables
-        self.nr_upper_tables = 0     # PUD/PMD tables (excludes the PGD)
         self.dead = False
         # Set once this address space has been part of an odfork (either
         # side).  COW faults in such lineages get the §5.2.4 cache-warmth
@@ -113,8 +112,6 @@ class MMStruct:
         kernel.register_table(table)
         if level == LEVEL_PTE:
             self._enrol_leaf(table, copy_of)
-        elif level != LEVEL_PGD:
-            self.nr_upper_tables += 1
         if kernel.mitosis is not None:
             # Mitosis: every fresh table grows per-node replicas (best
             # effort — on OOM the table simply runs unreplicated).
@@ -138,7 +135,6 @@ class MMStruct:
         for table in tables:
             kernel.register_table(table)
         kernel.pt_sharers.update((pfn, [self]) for pfn in pfns)
-        self.nr_pte_tables += len(tables)
         rmap = kernel.rmap
         if rmap is not None:
             for table, source in zip(tables, copy_of or [None] * len(tables)):
@@ -149,7 +145,6 @@ class MMStruct:
         """A new leaf table: the §3.5 refcount, sharers, rmap family."""
         kernel = self.kernel
         kernel.pages.pt_refcount[table.pfn] = 1
-        self.nr_pte_tables += 1
         kernel.pt_sharers[table.pfn] = [self]
         if kernel.rmap is not None:
             kernel.rmap.join(table, copy_of)
@@ -243,6 +238,16 @@ class MMStruct:
                 pmd = self.resolve(pud.child_pfn(int(pud_index)))
                 found.append(pmd)
         return found
+
+    @property
+    def nr_pte_tables(self):
+        """Present PMD entries that are not huge, read from the tables."""
+        return 0 if self.dead else len(self.leaf_tables())
+
+    @property
+    def nr_upper_tables(self):
+        """PUD and PMD tables (the PGD excluded), read from the tables."""
+        return 0 if self.dead else len(self.upper_tables())
 
     def leaf_tables(self):
         """All (pmd_table, index, leaf_table) triples in this address space."""

@@ -114,7 +114,6 @@ def move_mapping(kernel, mm, vma, new_size):
             moved += 1
         if leaf.is_empty():
             pmd_table.clear(pmd_index)
-            mm.nr_pte_tables -= 1
             put_pte_table(kernel, mm, leaf)
 
     kernel.cost.charge_zap_entries(moved)   # clearing old entries

@@ -129,7 +129,6 @@ def share_pmd_entries(kernel, parent_mm, child_mm, builder, parent_pmd,
         # table, and populates the child's fresh one.
         kernel.note_table_write(parent_pmd, count)
         kernel.note_table_write(child_pmd, count)
-        child_mm.nr_pte_tables += count
         if points.enabled:
             points.tracepoint("odfork.share_table", table_base=table_base,
                               n_shared=count,

@@ -127,16 +127,8 @@ class ReclaimState:
             if test_and_clear_referenced(kernel, pfn):
                 self.active.add(pfn)  # second chance
                 continue
-            if self._evict(pfn):
+            if self.evict_candidate(pfn, from_kswapd):
                 freed += 1
-                stats.pgsteal += 1
-                if from_kswapd:
-                    stats.pgsteal_kswapd += 1
-                else:
-                    stats.pgsteal_direct += 1
-            else:
-                # Pinned, or swap is full: rotate it out of the way.
-                self.active.add(pfn)
         if points.enabled:
             points.tracepoint(
                 "reclaim.shrink",

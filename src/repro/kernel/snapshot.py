@@ -42,9 +42,10 @@ from ..errors import InvalidArgumentError, KernelBug
 from ..paging.entries import BIT_RW, entry_pfn, is_huge, is_present, present_mask
 from ..paging.table import PMD_REGION_SIZE
 from .fork import iter_parent_slots
-from .rmap import rmap_add_bulk, rmap_remove_bulk
+from .rmap import rmap_add_bulk
 from .tableops import (
     copy_shared_pte_table,
+    drop_references,
     free_anon_frames,
     private_cow_mask,
 )
@@ -159,19 +160,12 @@ class Snapshot:
             if not changed.any():
                 continue
             positions = np.nonzero(changed)[0]
-            current = leaf.entries[positions]
-            current_present = present_mask(current)
-            drop_pfns = entry_pfn(current[current_present]).astype(np.int64)
-            if len(drop_pfns):
-                rmap_remove_bulk(kernel, drop_pfns)
-                zeroed = kernel.pages.ref_dec_bulk(drop_pfns)
-                free_anon_frames(kernel, zeroed)
             saved_slice = saved[positions]
             # Re-take the table's swap-slot references before dropping the
             # current ones, so a slot appearing on both sides never sees a
             # transient zero refcount (which would free it).
             kernel.swap_dup_entries(saved_slice)
-            kernel.swap_put_entries(current)
+            drop_references(kernel, leaf.entries[positions])
             saved_present = present_mask(saved_slice)
             keep_pfns = entry_pfn(saved_slice[saved_present]).astype(np.int64)
             if len(keep_pfns):

@@ -5,22 +5,30 @@ This module implements the paper's §3.4–§3.6 mechanism:
 * **Ownership rule.**  Every :class:`PageTable` *object* owns one reference
   on each data page its present entries map, regardless of how many
   processes share the table (sharing is tracked separately by the table's
-  own §3.5 refcount).  Classic fork creates new table objects, so it bumps
-  page refcounts; odfork shares the object, so it does not — that skipped
-  work is precisely the savings the paper measures.
+  own §3.5 refcount).  The rule has three parts: one page reference per
+  present entry, one rmap mapping per present anonymous entry (with swap
+  configured), and one swap-slot reference per swap entry.
+  :func:`copy_references` takes them for a new table object and
+  :func:`drop_references` releases them: the per-event table copies, and
+  every zap, destructor, bulk COW, THP collapse and snapshot restore, go
+  through the pair (the analytic batches of :mod:`.fastpath` apply the
+  same rule to many tables at once).
+  Classic fork creates new table objects, so it takes references; odfork
+  shares the object, so it does not — that skipped work is precisely the
+  savings the paper measures.
 
 * **Table COW** (:func:`copy_shared_pte_table`).  On the first write fault
   in a 2 MiB region mapped by a shared table, the faulting process gets a
   dedicated copy: entries are duplicated (accessed bits preserved, §3.2),
   write permission is dropped for private-COW ranges in *both* the copy and
   the original (see DESIGN.md §3 for why the original must be downgraded
-  too), page refcounts are taken for the copy's references, and the shared
-  table's refcount is decremented.
+  too), the copy takes its references, and the shared table's refcount is
+  decremented.
 
 * **Table put** (:func:`put_pte_table`).  Drops one sharer's reference;
-  on reaching zero the destructor releases the table's page references,
-  frees pages that hit zero, and returns the table frame — the §3.6 rule
-  that a page is freeable only when no table that could reach it survives.
+  on reaching zero the destructor releases the table's references, frees
+  pages that hit zero, and returns the table frame — the §3.6 rule that a
+  page is freeable only when no table that could reach it survives.
 """
 
 from __future__ import annotations
@@ -34,12 +42,12 @@ from ..paging.entries import (
     ENTRY_NONE,
     entry_pfn,
     make_entry,
-    present_mask,
     present_pfns,
 )
 from ..paging.table import LEVEL_PTE, PMD_REGION_SIZE
 from ..sancheck.annotations import charge_deferred, must_hold, tlb_deferred
 from ..trace import points
+from .rmap import rmap_add_bulk, rmap_remove_bulk
 
 
 def drop_table_sharer(kernel, leaf_pfn, mm):
@@ -63,20 +71,7 @@ def drop_shared_tables(kernel, mm, pmd_table, positions, leaf_pfns):
         drop_table_sharer(kernel, leaf_pfn, mm)
     kernel.pages.pt_refcount[leaf_pfns] -= 1
     pmd_table.entries[positions] = ENTRY_NONE
-    mm.nr_pte_tables -= len(positions)
     return len(positions)
-
-
-def table_present_pfns(table, lo_index=0, hi_index=PTRS_PER_TABLE):
-    """pfns of present entries in ``table.entries[lo_index:hi_index]``.
-
-    Returns ``(indices, pfns)`` as int64 arrays; indices are absolute.
-    """
-    sub = table.entries[lo_index:hi_index]
-    mask = present_mask(sub)
-    indices = np.nonzero(mask)[0] + lo_index
-    pfns = entry_pfn(table.entries[indices]).astype(np.int64)
-    return indices, pfns
 
 
 #: ``entry & DROP_RW`` write-protects an entry.
@@ -137,37 +132,62 @@ def free_anon_frames(kernel, pfns):
     kernel.allocator.free_bulk(pfns)
 
 
-@must_hold("mmap_lock")
-def release_table_references(kernel, mm, table, charge=True):
-    """Destructor body: drop the table's page references, free the frame."""
-    from .rmap import rmap_remove_bulk
-    indices, pfns = table_present_pfns(table)
+def copy_references(kernel, entries):
+    """Take the references a new table object holding ``entries`` owns.
+
+    One page reference and one rmap mapping per present entry (at the
+    page's existing home: a copy keeps its source's entry positions)
+    and one slot reference per swap entry.  Returns the present
+    entries' pfns.
+    """
+    _, pfns = present_pfns(entries)
     if len(pfns):
-        rmap_remove_bulk(kernel, pfns)
-        zeroed = kernel.pages.ref_dec_bulk(pfns)
+        # One uniqueness proof serves the refcount and the mapcount update.
+        unique = not has_duplicates(pfns)
+        kernel.pages.ref_inc_bulk(pfns, _unique=unique)
+        rmap_add_bulk(kernel, pfns, _unique=unique)
+    kernel.swap_dup_entries(entries)
+    return pfns
+
+
+@charge_deferred("callers price the release: charge_zap_entries per present "
+                 "entry, or their own COW, collapse or restore cost")
+def drop_references(kernel, entries):
+    """Release what :func:`copy_references` takes for ``entries``.
+
+    Drops the present entries' mappings and page references, frees the
+    frames that reach zero, and drops the swap entries' slot
+    references.  Returns the number of present entries.
+    """
+    _, pfns = present_pfns(entries)
+    if len(pfns):
+        unique = not has_duplicates(pfns)
+        # Mappings first: eligibility reads page flags, which the free
+        # resets.
+        rmap_remove_bulk(kernel, pfns, _unique=unique)
+        zeroed = kernel.pages.ref_dec_bulk(pfns, _unique=unique)
         free_anon_frames(kernel, zeroed)
-        if charge:
-            kernel.cost.charge_zap_entries(len(pfns))
-    kernel.swap_put_entries(table.entries)
-    if charge:
-        kernel.cost.charge_table_free()
-    # sancheck: ignore[clock-charge] -- the charge=False arm is the exit fast path, priced by its caller's blanket teardown cost
-    mm.free_table_frame(table)
+    kernel.swap_put_entries(entries)
+    return len(pfns)
 
 
 @must_hold("mmap_lock")
-def put_pte_table(kernel, mm, table, charge=True):
+def put_pte_table(kernel, mm, table):
     """Drop one sharer's reference on a leaf table (§3.5 lifecycle).
 
-    ``mm`` is the process releasing its reference.  Returns the new
-    refcount.
+    ``mm`` is the process releasing its reference.  At zero the
+    destructor drops the table's references and frees its frame.
+    Returns the new refcount.
     """
-    if charge:
-        kernel.cost.charge_table_put()
+    kernel.cost.charge_table_put()
     drop_table_sharer(kernel, table.pfn, mm)
     new_count = kernel.pages.pt_ref_dec(table.pfn)
     if new_count == 0:
-        release_table_references(kernel, mm, table, charge=charge)
+        n_present = drop_references(kernel, table.entries)
+        if n_present:
+            kernel.cost.charge_zap_entries(n_present)
+        kernel.cost.charge_table_free()
+        mm.free_table_frame(table)
     return new_count
 
 
@@ -177,9 +197,9 @@ def copy_shared_pte_table(kernel, mm, pmd_table, pmd_index, slot_start):
 
     Allocates a dedicated table, copies all 512 entries (preserving
     accessed bits), write-protects private-COW entries in both copies,
-    takes page references for the new table, points the PMD entry at the
-    copy with write permission restored, and releases one reference on the
-    shared table.  Returns the new dedicated table.
+    takes the copy's references (:func:`copy_references`), points the PMD
+    entry at the copy with write permission restored, and releases one
+    reference on the shared table.  Returns the new dedicated table.
     """
     old_table = mm.resolve(pmd_table.child_pfn(pmd_index))
     if kernel.pages.pt_ref(old_table.pfn) <= 1:
@@ -207,16 +227,7 @@ def copy_shared_pte_table(kernel, mm, pmd_table, pmd_index, slot_start):
                 old_table,
                 PTRS_PER_TABLE if all_cow else int(np.count_nonzero(cow_mask)))
 
-    _, pfns = present_pfns(new_table.entries)
-    # One uniqueness proof serves the refcount and the mapcount update.
-    unique = not has_duplicates(pfns)
-    kernel.pages.ref_inc_bulk(pfns, _unique=unique)
-    if kernel.swap is not None:
-        # The copy carries swap entries too: each takes its own slot
-        # reference, and present anon pages gain a mapping in the copy.
-        kernel.swap_dup_entries(new_table.entries)
-        from .rmap import rmap_add_bulk
-        rmap_add_bulk(kernel, pfns, _unique=unique)
+    pfns = copy_references(kernel, new_table.entries)
     drop_table_sharer(kernel, old_table.pfn, mm)
 
     kernel.cost.charge_table_cow_copy(len(pfns))
@@ -224,10 +235,7 @@ def copy_shared_pte_table(kernel, mm, pmd_table, pmd_index, slot_start):
     kernel.note_table_write(pmd_table)
 
     # One fewer sharer of the old table.  This mm still maps the same
-    # pages, now through its own copy, and its PMD entry count is
-    # unchanged (alloc_table counted the copy, so un-count the table the
-    # entry no longer points to).
-    mm.nr_pte_tables -= 1
+    # pages, now through its own copy.
     remaining = kernel.pages.pt_ref_dec(old_table.pfn)
     if remaining == 0:
         raise KernelBug("shared table refcount hit zero during COW copy")

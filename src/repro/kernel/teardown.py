@@ -39,13 +39,11 @@ from ..paging.entries import (
 )
 from ..paging.table import LEVEL_PMD, LEVEL_SPAN, PMD_REGION_SIZE
 from .fork import iter_parent_pmd_tables
-from .rmap import rmap_remove_bulk
 from .tableops import (
     copy_shared_pte_table,
+    drop_references,
     drop_shared_tables,
-    free_anon_frames,
     put_pte_table,
-    table_present_pfns,
 )
 
 
@@ -81,7 +79,6 @@ def zap_range(kernel, mm, start, end):
                 # §3.3 fast path: drop our reference, preserve the entries
                 # for the other sharers.
                 pmd_table.clear(pmd_index)
-                mm.nr_pte_tables -= 1
                 put_pte_table(kernel, mm, leaf)
                 continue
             # §3.3 slow path: other VMAs of this process still live under
@@ -91,7 +88,6 @@ def zap_range(kernel, mm, start, end):
         _zap_dedicated_entries(kernel, mm, leaf, slot_start, lo, hi)
         if leaf.is_empty():
             pmd_table.clear(pmd_index)
-            mm.nr_pte_tables -= 1
             put_pte_table(kernel, mm, leaf)
 
     # Freed frames must not stay reachable through any CPU's TLB.
@@ -115,14 +111,10 @@ def _zap_huge(kernel, mm, pmd_table, pmd_index, slot_start, lo, hi):
 def _zap_dedicated_entries(kernel, mm, leaf, slot_start, lo, hi):
     lo_index = (lo - slot_start) // PAGE_SIZE
     hi_index = (hi - slot_start) // PAGE_SIZE
-    indices, pfns = table_present_pfns(leaf, lo_index, hi_index)
-    if len(pfns):
-        rmap_remove_bulk(kernel, pfns)
-        zeroed = kernel.pages.ref_dec_bulk(pfns)
-        free_anon_frames(kernel, zeroed)
-        kernel.cost.charge_zap_entries(len(pfns))
-    kernel.swap_put_entries(leaf.entries[lo_index:hi_index])
-    # sancheck: ignore[clock-charge] -- with no entry present this store clears only swap/absent slots, below the per-present-entry zap model's resolution
+    # sancheck: ignore[clock-charge] -- with no entry present this releases only swap slots and the store below clears only swap/absent entries, below the per-present-entry zap model's resolution
+    n_present = drop_references(kernel, leaf.entries[lo_index:hi_index])
+    if n_present:
+        kernel.cost.charge_zap_entries(n_present)
     leaf.entries[lo_index:hi_index] = ENTRY_NONE
     kernel.note_table_write(leaf, hi_index - lo_index)
 
@@ -155,9 +147,7 @@ def _exit_release_pmd_table(kernel, mm, pmd_table, table_base):
             slot_start = table_base + position * LEVEL_SPAN[LEVEL_PMD]
             _zap_dedicated_entries(kernel, mm, leaf, slot_start, slot_start,
                                    slot_start + PMD_REGION_SIZE)
-            # sancheck: ignore[clock-charge] -- the per-slot helpers above charge zap/table costs for every populated table; the PMD-entry clear itself is below resolution
             entries[position] = ENTRY_NONE
-            mm.nr_pte_tables -= 1
             put_pte_table(kernel, mm, leaf)
     for position in np.nonzero(present & huge)[0].tolist():
         slot_start = table_base + position * LEVEL_SPAN[LEVEL_PMD]
@@ -193,8 +183,5 @@ def exit_mmap(kernel, mm):
     kernel.cost.charge_table_free(len(uppers))
     mm.free_table_frame(mm.pgd)
     kernel.cost.charge_table_free()
-    mm.nr_upper_tables = 0
     mm.dead = True
-    if mm.nr_pte_tables != 0:
-        raise KernelBug(f"PTE-table accounting leak at exit: {mm.nr_pte_tables}")
     kernel.tlbs.shootdown_mm(mm, charge=False)

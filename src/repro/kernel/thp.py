@@ -45,8 +45,8 @@ from ..paging.entries import (
     present_mask,
 )
 from ..paging.table import LEVEL_PTE, PMD_REGION_SIZE
-from .rmap import rmap_add_bulk, rmap_remove_bulk
-from .tableops import free_anon_frames, put_pte_table
+from .rmap import rmap_add_bulk
+from .tableops import drop_references, free_anon_frames, put_pte_table
 from ..sancheck.annotations import acquires, must_hold
 
 #: Cost of scanning one candidate region (read 512 entries + struct pages).
@@ -159,14 +159,10 @@ class Khugepaged:
 
         dirty = bool((entries & BIT_DIRTY).any())
         accessed = bool((entries & BIT_ACCESSED).any())
-        # Free the old frames and the leaf table.
-        rmap_remove_bulk(kernel, pfns)
-        kernel.pages.on_free_bulk(pfns)
-        kernel.phys.zero_bulk(pfns)
-        kernel.allocator.free_bulk(pfns)
+        # Free the old frames (each held by this table only) and the table.
+        drop_references(kernel, entries)
         leaf.entries[:] = 0
         pmd_table.clear(pmd_index)
-        mm.nr_pte_tables -= 1
         put_pte_table(kernel, mm, leaf)
 
         pmd_table.set(pmd_index, make_entry(

@@ -158,9 +158,12 @@ class PageStructArray:
         """
         add_at(self.refcount, pfns, 1, _unique)
 
-    def ref_dec_bulk(self, pfns):
-        """Decrement refcounts; return the pfns whose count reached zero."""
-        add_at(self.refcount, pfns, -1)
+    def ref_dec_bulk(self, pfns, *, _unique=False):
+        """Decrement refcounts; return the pfns whose count reached zero.
+
+        ``_unique``: the caller already proved ``pfns`` duplicate-free.
+        """
+        add_at(self.refcount, pfns, -1, _unique)
         counts = self.refcount[pfns]
         if np.any(counts < 0):
             bad = np.asarray(pfns)[counts < 0]

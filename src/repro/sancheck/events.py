@@ -20,13 +20,13 @@ from .model import call_name
 
 #: Calls that take a reference, by last name segment -> pin kind.
 INC_CALLS = {
-    "ref_inc": "page", "ref_inc_bulk": "page",
+    "ref_inc": "page", "ref_inc_bulk": "page", "copy_references": "page",
     "pt_ref_inc": "ptref",
     "swap_dup": "swap", "swap_dup_entries": "swap",
 }
 #: Calls that drop a reference (pairing with the above).
 DEC_CALLS = {
-    "ref_dec": "page", "ref_dec_bulk": "page",
+    "ref_dec": "page", "ref_dec_bulk": "page", "drop_references": "page",
     "pt_ref_dec": "ptref",
     "swap_put": "swap", "swap_put_entries": "swap", "swap_put_rows": "swap",
 }

@@ -29,12 +29,13 @@ BAD = {
     "bad_metrics.py": "metrics",
     "bad_fastpath.py": "fastpath-sound",
     "bad_faas_site.py": "metrics",
+    "bad_copy_references.py": "refcount",
 }
 
 GOOD = ["good_lock.py", "good_failpoint.py", "good_refcount.py",
         "good_tlb.py", "good_ignore.py", "good_tracepoint.py",
         "good_replica.py", "good_clockcharge.py", "good_metrics.py",
-        "good_fastpath.py", "good_faas_site.py"]
+        "good_fastpath.py", "good_faas_site.py", "good_copy_references.py"]
 
 
 def run_fixture(name):
