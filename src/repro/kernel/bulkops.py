@@ -326,7 +326,7 @@ def _access_leaf_piece(kernel, mm, vma, pmd_table, pmd_index, slot_start,
     else:
         need_fill = int(np.count_nonzero(~present))
 
-    shared = kernel.pages.pt_ref(leaf.pfn) > 1
+    shared = len(kernel.pt_sharers[leaf.pfn]) > 1
     if shared and (is_write or need_fill or has_swap):
         leaf = copy_shared_pte_table(kernel, mm, pmd_table, pmd_index, slot_start)
         events["table_copies"] += 1

@@ -60,13 +60,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import KernelBug
-from ..mem.page import (
-    HUGE_PAGE_ORDER,
-    PAGE_SIZE,
-    PG_FILE,
-    PTRS_PER_TABLE,
-    has_duplicates,
-)
+from ..mem.page import PAGE_SIZE, PG_FILE, PTRS_PER_TABLE, has_duplicates
 from ..paging.entries import (
     BIT_PRESENT,
     BIT_PS,
@@ -284,9 +278,9 @@ def fast_copy_mm_classic(kernel, parent_mm, child_mm):
         huge = (entries & BIT_PS) != ENTRY_NONE
         leaf_pos = np.nonzero(present & ~huge)[0]
         huge_pos = np.nonzero(present & huge)[0]
-        parent_pfns = entry_pfn(entries[leaf_pos]).astype(np.int64)
-        parents = [resolve(ppfn) for ppfn in parent_pfns.tolist()]
-        plan.append((pmd, base, leaf_pos, huge_pos, parent_pfns, parents))
+        parents = [resolve(ppfn)
+                   for ppfn in entry_pfn(entries[leaf_pos]).tolist()]
+        plan.append((pmd, base, leaf_pos, huge_pos, parents))
         n_leaf_total += len(leaf_pos)
         pud_keys.add(base // LEVEL_SPAN[LEVEL_PGD])
     if not _fork_headroom_ok(kernel, n_leaf_total + len(plan) + len(pud_keys)):
@@ -299,6 +293,7 @@ def fast_copy_mm_classic(kernel, parent_mm, child_mm):
     store = kernel.entry_store
     pages = kernel.pages
     allocator = kernel.allocator
+    sharers = kernel.pt_sharers
 
     builder = begin_classic_copy(kernel, parent_mm, child_mm)
 
@@ -306,7 +301,7 @@ def fast_copy_mm_classic(kernel, parent_mm, child_mm):
     charge_ns = []
     n_huge_total = 0
 
-    for pmd, base, leaf_pos, huge_pos, parent_pfns, parents in plan:
+    for pmd, base, leaf_pos, huge_pos, parents in plan:
         # Upper levels first, then one leaf frame per slot in address
         # order — the exact allocator call sequence of the per-event walk.
         # The headroom proof rules out alloc_table_frame's kswapd wake and
@@ -332,7 +327,8 @@ def fast_copy_mm_classic(kernel, parent_mm, child_mm):
             # alone — their PMD entry already carries RW=0 and the
             # table-COW protocol owns their entry bits.
             if cow.any():
-                dedicated = pages.pt_refcount[parent_pfns] == 1
+                dedicated = np.array([len(sharers[t.pfn]) == 1
+                                      for t in parents], dtype=bool)
                 if dedicated.all():
                     store.scatter(parent_rows, matrix)
                 elif dedicated.any():
@@ -451,8 +447,9 @@ def fast_exit_release_pmd_table(kernel, mm, pmd_table, table_base):
     has_swap = False
     if len(leaf_positions):
         leaf_pfns = entry_pfn(entries[leaf_positions]).astype(np.int64)
-        refs = pages.pt_refcount[leaf_pfns]
-        surviving = refs > 1
+        sharers = kernel.pt_sharers
+        surviving = np.array([len(sharers[tpfn]) > 1
+                              for tpfn in leaf_pfns.tolist()], dtype=bool)
         dead_pfns = leaf_pfns[~surviving]
         dead = dead_pfns.tolist()
         resolve = kernel.resolve_table
@@ -576,16 +573,8 @@ def fast_exit_release_pmd_table(kernel, mm, pmd_table, table_base):
         if np.any(newrefs < 0):
             raise KernelBug(
                 f"page refcount underflow on pfns {heads[:8].tolist()}")
-        freed = heads[newrefs == 0]
-        if len(freed):
-            spans = (freed[:, None]
-                     + np.arange(1 << HUGE_PAGE_ORDER, dtype=np.int64)).ravel()
-            allocator = kernel.allocator
-            for head in freed.tolist():
-                pages.on_free(head)
-            kernel.phys.zero_bulk(spans)
-            for head in freed.tolist():
-                allocator.free(head, HUGE_PAGE_ORDER)
+        for head in heads[newrefs == 0].tolist():
+            kernel.free_huge_frame(head)
         charge_ids.append(np.full(len(huge_positions), _ID_ZAP, dtype=np.int64))
         charge_ns.append(np.full(len(huge_positions), p.zap_per_pte * 1))
 

@@ -1007,7 +1007,7 @@ class Kernel:
         node_of = self.allocator.node_of
         moved = 0
         for _pmd, _index, leaf in mm.leaf_tables():
-            if self.pages.pt_ref(leaf.pfn) > 1:
+            if len(self.pt_sharers[leaf.pfn]) > 1:
                 continue     # fork-shared table: moving would edit sharers
             for pte_index in leaf.present_indices().tolist():
                 entry = leaf.entries[pte_index]

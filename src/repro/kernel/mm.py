@@ -7,8 +7,8 @@ modules and operate *on* an ``MMStruct``; this module provides the
 structural plumbing they share:
 
 * allocating and freeing page-table nodes (page tables are pages: each is
-  backed by a frame flagged ``PG_PAGETABLE``, and leaf tables get the
-  paper's §3.5 refcount, initialised to one in the constructor);
+  backed by a frame flagged ``PG_PAGETABLE``, and a leaf table starts
+  with its allocating mm as its one sharer, the paper's §3.5 count);
 * walking/creating the upper levels down to a PMD slot;
 * iterating the PMD slots that cover an address range — the unit at which
   On-demand-fork shares, copies, and zaps.
@@ -99,11 +99,11 @@ class MMStruct:
     def alloc_table(self, level, copy_of=None):
         """Allocate a page-table node backed by a fresh frame.
 
-        Leaf (PTE) tables start with the §3.5 reference count of one; the
-        count tracks how many processes share the table and guards both
-        premature free and the fault handler's shared/dedicated decision.
-        A leaf table about to receive a copy of ``copy_of``'s entries
-        joins that table's rmap family.
+        A leaf (PTE) table starts with this mm as its one sharer: the
+        sharer list's length is the §3.5 reference count, which guards
+        both premature free and the fault handler's shared/dedicated
+        decision.  A leaf table about to receive a copy of ``copy_of``'s
+        entries joins that table's rmap family.
         """
         kernel = self.kernel
         pfn = kernel.alloc_table_frame()
@@ -111,7 +111,9 @@ class MMStruct:
         table = PageTable(level, pfn, store=kernel.entry_store)
         kernel.register_table(table)
         if level == LEVEL_PTE:
-            self._enrol_leaf(table, copy_of)
+            kernel.pt_sharers[pfn] = [self]
+            if kernel.rmap is not None:
+                kernel.rmap.join(table, copy_of)
         if kernel.mitosis is not None:
             # Mitosis: every fresh table grows per-node replicas (best
             # effort — on OOM the table simply runs unreplicated).
@@ -126,10 +128,8 @@ class MMStruct:
         and classic fork); the caller runs without Mitosis replicas.
         """
         kernel = self.kernel
-        pfn_array = np.asarray(pfns, dtype=np.int64)
-        pages = kernel.pages
-        pages.on_alloc_bulk(pfn_array, PG_PAGETABLE)
-        pages.pt_refcount[pfn_array] = 1
+        kernel.pages.on_alloc_bulk(np.asarray(pfns, dtype=np.int64),
+                                   PG_PAGETABLE)
         store = kernel.entry_store
         tables = [PageTable(LEVEL_PTE, pfn, store=store) for pfn in pfns]
         for table in tables:
@@ -140,14 +140,6 @@ class MMStruct:
             for table, source in zip(tables, copy_of or [None] * len(tables)):
                 rmap.join(table, source)
         return tables
-
-    def _enrol_leaf(self, table, copy_of=None):
-        """A new leaf table: the §3.5 refcount, sharers, rmap family."""
-        kernel = self.kernel
-        kernel.pages.pt_refcount[table.pfn] = 1
-        kernel.pt_sharers[table.pfn] = [self]
-        if kernel.rmap is not None:
-            kernel.rmap.join(table, copy_of)
 
     @must_hold("mmap_lock")
     @charge_deferred("callers charge teardown via charge_table_free / "

@@ -5,7 +5,8 @@ PTE table with the parent (§3.1):
 
 * the upper three levels are copied (they are a ~1/512 fraction of the
   tree, §2.2 — which is why sharing stops here);
-* each shared leaf table's reference counter is incremented;
+* the child joins each shared leaf table's sharer list, whose length is
+  the table's §3.5 reference counter;
 * write permission is disabled **once per table** by clearing the RW bit in
   the PMD entries of both parent and child — the hierarchical-attribute
   override (§3.2) write-protects the whole 2 MiB region without touching a
@@ -99,8 +100,8 @@ def share_pmd_entries(kernel, parent_mm, child_mm, builder, parent_pmd,
     """Share (or, for huge entries, eagerly copy) the ``present`` entries
     of one parent PMD table; returns how many leaf tables it shared.
 
-    Vectorised §3.5: one refcount increment per shared table and one
-    write-protected PMD entry on each side.  ``present`` is a boolean
+    §3.5: the child joins each shared table's sharer list, and each
+    table gets one write-protected PMD entry on each side.  ``present`` is a boolean
     mask over the table's 512 entries, all of them present: the whole
     table for :func:`copy_mm_odf`, one slot for :func:`odf_share_walk`.
     """
@@ -114,12 +115,11 @@ def share_pmd_entries(kernel, parent_mm, child_mm, builder, parent_pmd,
     count = 0
 
     if leaf_positions.any():
-        pfns = entry_pfn(entries[leaf_positions]).astype(np.int64)
-        kernel.pages.pt_refcount[pfns] += 1
-        for leaf_pfn in pfns.tolist():
+        pfns = entry_pfn(entries[leaf_positions]).tolist()
+        for leaf_pfn in pfns:
             kernel.pt_sharers[leaf_pfn].append(child_mm)
         if kernel.mitosis is not None:
-            _apply_replica_share_policy(kernel, child_mm, pfns.tolist())
+            _apply_replica_share_policy(kernel, child_mm, pfns)
         protected = entries[leaf_positions] & drop_rw
         if not FAULT_INJECT_SKIP_PARENT_WP:
             entries[leaf_positions] = protected

@@ -104,30 +104,44 @@ class ReclaimState:
             kernel.cost.charge_lru_scan()
             self.inactive.add(pfn)
 
+    def _scan_oldest(self, refill):
+        """Scan the oldest inactive page, refilling ``refill`` pages from
+        the active list when the inactive one is empty.
+
+        Returns the page when it is an eviction candidate (then on
+        neither list), ``False`` when it was referenced and went back to
+        the active list (second chance), or ``None`` when both lists are
+        drained.
+        """
+        if not len(self.inactive):
+            self._refill_inactive(refill)
+            if not len(self.inactive):
+                return None
+        kernel = self.kernel
+        pfn = self.inactive.pop_oldest()
+        kernel.stats.pgscan += 1
+        kernel.cost.charge_lru_scan()
+        if test_and_clear_referenced(kernel, pfn):
+            self.active.add(pfn)
+            return False
+        return pfn
+
     # -- shrinking -------------------------------------------------------
 
     @acquires("ptl")
     def shrink(self, nr_target, from_kswapd):
         """Reclaim up to ``nr_target`` frames from the LRU; returns freed."""
         kernel = self.kernel
-        stats = kernel.stats
         start_ns = kernel.cost.clock.now_ns
         freed = 0
         scanned = 0
         max_scan = 2 * (len(self.active) + len(self.inactive)) + 8
         while freed < nr_target and scanned < max_scan:
-            if not len(self.inactive):
-                self._refill_inactive(max(nr_target, 32))
-                if not len(self.inactive):
-                    break
-            pfn = self.inactive.pop_oldest()
+            pfn = self._scan_oldest(max(nr_target, 32))
+            if pfn is None:
+                break
             scanned += 1
-            stats.pgscan += 1
-            kernel.cost.charge_lru_scan()
-            if test_and_clear_referenced(kernel, pfn):
-                self.active.add(pfn)  # second chance
-                continue
-            if self.evict_candidate(pfn, from_kswapd):
+            if pfn is not False and self.evict_candidate(pfn, from_kswapd):
                 freed += 1
         if points.enabled:
             points.tracepoint(
@@ -171,19 +185,10 @@ class ReclaimState:
         :meth:`shrink` used by the SMP kswapd task, which takes the
         victim's page-table locks between pick and evict.
         """
-        kernel = self.kernel
         while True:
-            if not len(self.inactive):
-                self._refill_inactive(32)
-                if not len(self.inactive):
-                    return None
-            pfn = self.inactive.pop_oldest()
-            kernel.stats.pgscan += 1
-            kernel.cost.charge_lru_scan()
-            if test_and_clear_referenced(kernel, pfn):
-                self.active.add(pfn)  # second chance
-                continue
-            return pfn
+            pfn = self._scan_oldest(32)
+            if pfn is not False:
+                return pfn
 
     @must_hold("ptl")
     def evict_candidate(self, pfn, from_kswapd=True):

@@ -303,7 +303,7 @@ def try_to_unmap(kernel, pfn, slot):
             leaf.entries[index] = entry_value
         n = len(indices)
         kernel.swap_dup(slot, n)
-        if kernel.pages.pt_ref(leaf.pfn) > 1:
+        if len(kernel.pt_sharers[leaf.pfn]) > 1:
             # The unshare-or-edit decision: edit in place, charge for it.
             kernel.stats.shared_table_unmaps += 1
             kernel.cost.charge_shared_table_unmap()

@@ -93,7 +93,7 @@ class Snapshot:
         try:
             for pmd_table, pmd_index, slot_start, entry in iter_parent_slots(mm):
                 leaf = mm.resolve(int(entry_pfn(entry)))
-                if kernel.pages.pt_ref(leaf.pfn) > 1:
+                if len(kernel.pt_sharers[leaf.pfn]) > 1:
                     # Unshare proactively: restore must own its tables.
                     leaf = copy_shared_pte_table(kernel, mm, pmd_table,
                                                  pmd_index, slot_start)
@@ -148,7 +148,7 @@ class Snapshot:
         restored_entries = 0
         for (pmd_table, pmd_index, slot_start), saved in self.saved.items():
             leaf = self._current_leaf(pmd_table, pmd_index)
-            if kernel.pages.pt_ref(leaf.pfn) > 1:
+            if len(kernel.pt_sharers[leaf.pfn]) > 1:
                 # An odfork after the snapshot shared this table; editing
                 # it in place would rewrite the other sharers' view, so
                 # restore follows the same rule as any table-modifying

@@ -4,9 +4,10 @@
 and process exit.  Its interaction with shared PTE tables implements §3.3
 of the paper:
 
-* a shared table whose whole 2 MiB slot is being unmapped is released with
-  a bare refcount decrement — the entries must be *preserved* because other
-  processes in the fork lineage still translate through them;
+* a shared table whose whole 2 MiB slot is being unmapped is released by
+  leaving its sharer list (the §3.5 count is the list's length) — the
+  entries must be *preserved* because other processes in the fork lineage
+  still translate through them;
 * a shared table that is only partially unmapped is first copied
   (copy-on-write applied to the unmap operation itself), and the copy is
   then zapped like any dedicated table.
@@ -15,10 +16,11 @@ Teardown cost is a first-class part of the model: the paper's fuzzing
 workloads are bounded by fork + child-exit, and the per-entry
 ``zap_pte_range`` work (refcount decrements, free batching) is what makes
 classic fork's exits expensive while odfork children exit in microseconds.
-The shared-table release is vectorised at PMD-table granularity on the
-exit path (:func:`~repro.kernel.tableops.drop_shared_tables`, which the
-exit fast path calls too), mirroring how cheap the real operation is: one
-refcount decrement per table, no per-page work.  Nothing here keeps RSS:
+``zap_range`` and the per-event exit share one per-slot body; the exit
+path drops its shared tables first, in one batch per PMD table
+(:func:`~repro.kernel.tableops.drop_shared_tables`, which the exit fast
+path calls too), mirroring how cheap the real operation is: one sharer
+removal per table, no per-page work.  Nothing here keeps RSS:
 :meth:`~repro.kernel.mm.MMStruct.rss_counts` reads it from the tables.
 """
 
@@ -54,44 +56,48 @@ def zap_range(kernel, mm, start, end):
     if start % PAGE_SIZE or end % PAGE_SIZE:
         raise InvalidArgumentError("zap range must be page-aligned")
     for pmd_table, pmd_index, slot_start, lo, hi in mm.pmd_slots(start, end):
-        entry = pmd_table.entries[pmd_index]
-        if not is_present(entry):
-            continue
-        if is_huge(entry):
-            whole_slot = lo == slot_start and hi == slot_start + PMD_REGION_SIZE
-            vma = mm.vmas.find(slot_start)
-            is_thp = vma is None or not vma.is_hugetlb
-            if not whole_slot and is_thp:
-                # A partially unmapped THP region: split back to 4 KiB
-                # pages, then fall through to the normal leaf zap.
-                from .thp import split_huge_entry
-                split_huge_entry(kernel, mm, pmd_table, pmd_index, slot_start)
-                entry = pmd_table.entries[pmd_index]
-            else:
-                _zap_huge(kernel, mm, pmd_table, pmd_index, slot_start, lo,
-                          hi)
-                continue
-
-        leaf = mm.resolve(int(entry_pfn(entry)))
-        whole_slot = lo == slot_start and hi == slot_start + PMD_REGION_SIZE
-        if kernel.pages.pt_ref(leaf.pfn) > 1:
-            if whole_slot:
-                # §3.3 fast path: drop our reference, preserve the entries
-                # for the other sharers.
-                pmd_table.clear(pmd_index)
-                put_pte_table(kernel, mm, leaf)
-                continue
-            # §3.3 slow path: other VMAs of this process still live under
-            # this table, so take a private copy before clearing entries.
-            leaf = copy_shared_pte_table(kernel, mm, pmd_table, pmd_index, slot_start)
-
-        _zap_dedicated_entries(kernel, mm, leaf, slot_start, lo, hi)
-        if leaf.is_empty():
-            pmd_table.clear(pmd_index)
-            put_pte_table(kernel, mm, leaf)
-
+        _zap_pmd_slot(kernel, mm, pmd_table, pmd_index, slot_start, lo, hi)
     # Freed frames must not stay reachable through any CPU's TLB.
     kernel.tlbs.shootdown_mm(mm, start, end)
+
+
+@must_hold("mmap_lock", "ptl")
+@tlb_deferred("zap_range and exit_mmap shoot the range down after the walk")
+def _zap_pmd_slot(kernel, mm, pmd_table, pmd_index, slot_start, lo, hi):
+    """Clear ``[lo, hi)`` of the 2 MiB slot at ``slot_start`` (the per-slot
+    body of :func:`zap_range` and of the per-event exit)."""
+    entry = pmd_table.entries[pmd_index]
+    if not is_present(entry):
+        return
+    whole_slot = lo == slot_start and hi == slot_start + PMD_REGION_SIZE
+    if is_huge(entry):
+        vma = mm.vmas.find(slot_start)
+        is_thp = vma is None or not vma.is_hugetlb
+        if whole_slot or not is_thp:
+            _zap_huge(kernel, mm, pmd_table, pmd_index, slot_start, lo, hi)
+            return
+        # A partially unmapped THP region: split back to 4 KiB pages,
+        # then fall through to the normal leaf zap.
+        from .thp import split_huge_entry
+        split_huge_entry(kernel, mm, pmd_table, pmd_index, slot_start)
+        entry = pmd_table.entries[pmd_index]
+
+    leaf = mm.resolve(int(entry_pfn(entry)))
+    if len(kernel.pt_sharers[leaf.pfn]) > 1:
+        if whole_slot:
+            # §3.3 fast path: drop our reference, preserve the entries
+            # for the other sharers.
+            pmd_table.clear(pmd_index)
+            put_pte_table(kernel, mm, leaf)
+            return
+        # §3.3 slow path: other VMAs of this process still live under
+        # this table, so take a private copy before clearing entries.
+        leaf = copy_shared_pte_table(kernel, mm, pmd_table, pmd_index, slot_start)
+
+    _zap_dedicated_entries(kernel, mm, leaf, slot_start, lo, hi)
+    if leaf.is_empty():
+        pmd_table.clear(pmd_index)
+        put_pte_table(kernel, mm, leaf)
 
 
 @must_hold("mmap_lock", "ptl")
@@ -124,8 +130,8 @@ def _zap_dedicated_entries(kernel, mm, leaf, slot_start, lo, hi):
 def _exit_release_pmd_table(kernel, mm, pmd_table, table_base):
     """Release every mapping a PMD table reaches (the exit path).
 
-    Shared leaf tables are released with one bulk refcount decrement;
-    dedicated tables and huge entries take the per-slot logic.
+    Shared leaf tables are dropped in one batch; dedicated tables and
+    then huge entries, each in address order, take the per-slot body.
     """
     entries = pmd_table.entries
     present = present_mask(entries)
@@ -135,24 +141,20 @@ def _exit_release_pmd_table(kernel, mm, pmd_table, table_base):
     leaf_positions = np.nonzero(present & ~huge)[0]
     if len(leaf_positions):
         pfns = entry_pfn(entries[leaf_positions]).astype(np.int64)
-        refs = kernel.pages.pt_refcount[pfns]
-        surviving = refs > 1
+        sharers = kernel.pt_sharers
+        surviving = np.array([len(sharers[pfn]) > 1 for pfn in pfns.tolist()],
+                             dtype=bool)
         if surviving.any():
             n_dropped = drop_shared_tables(kernel, mm, pmd_table,
                                            leaf_positions[surviving],
                                            pfns[surviving])
             kernel.cost.charge_table_put(n_dropped)
-        for position in leaf_positions[~surviving].tolist():
-            leaf = mm.resolve(int(entry_pfn(entries[position])))
-            slot_start = table_base + position * LEVEL_SPAN[LEVEL_PMD]
-            _zap_dedicated_entries(kernel, mm, leaf, slot_start, slot_start,
-                                   slot_start + PMD_REGION_SIZE)
-            entries[position] = ENTRY_NONE
-            put_pte_table(kernel, mm, leaf)
-    for position in np.nonzero(present & huge)[0].tolist():
+    # The shared slots just dropped read as absent to the per-slot body.
+    positions = leaf_positions.tolist() + np.nonzero(present & huge)[0].tolist()
+    for position in positions:
         slot_start = table_base + position * LEVEL_SPAN[LEVEL_PMD]
-        _zap_huge(kernel, mm, pmd_table, int(position), slot_start, slot_start,
-                  slot_start + PMD_REGION_SIZE)
+        _zap_pmd_slot(kernel, mm, pmd_table, position, slot_start, slot_start,
+                      slot_start + PMD_REGION_SIZE)
 
 
 @acquires("mmap_lock", "ptl")

@@ -9,9 +9,9 @@ and fast (fork and teardown update refcounts for whole PTE tables with one
 vectorised operation).
 
 The paper's implementation note (§4 "Memory Usage") stores the shared-PTE-
-table reference counter in an unused union inside ``struct page``; we mirror
-that with a dedicated ``pt_refcount`` vector that is only meaningful for
-frames flagged ``PG_PAGETABLE``.
+table reference counter in an unused union inside ``struct page``.  This
+model keeps no such column: the count is the length of the table's sharer
+list (``Kernel.pt_sharers``), which TLB shootdowns need anyway.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def add_at(column, index, delta, unique=False):
 
 
 class PageStructArray:
-    """Per-frame metadata: refcounts, flags, and the PTE-table refcount.
+    """Per-frame metadata: refcounts and flags.
 
     All vectors are allocated with ``np.zeros`` which commits memory lazily,
     so configuring a machine with tens of millions of frames costs only what
@@ -95,7 +95,6 @@ class PageStructArray:
             raise InvalidArgumentError("machine needs at least one frame")
         self.n_frames = int(n_frames)
         self.refcount = np.zeros(self.n_frames, dtype=np.int32)
-        self.pt_refcount = np.zeros(self.n_frames, dtype=np.int32)
         self.flags = np.zeros(self.n_frames, dtype=np.uint16)
 
     # ---- single-frame helpers (used by page tables and small paths) ----
@@ -117,24 +116,6 @@ class PageStructArray:
         self.refcount[pfn] = new
         if new < 0:
             raise KernelBug(f"page refcount underflow on pfn {pfn}")
-        return new
-
-    def pt_ref(self, pfn):
-        """Current PTE-table share count (§3.5)."""
-        return self.pt_refcount.item(pfn)
-
-    def pt_ref_inc(self, pfn):
-        """Increment a table's share count; returns the new value."""
-        new = self.pt_refcount.item(pfn) + 1
-        self.pt_refcount[pfn] = new
-        return new
-
-    def pt_ref_dec(self, pfn):
-        """Decrement a table's share count; returns the new value."""
-        new = self.pt_refcount.item(pfn) - 1
-        self.pt_refcount[pfn] = new
-        if new < 0:
-            raise KernelBug(f"PTE-table refcount underflow on pfn {pfn}")
         return new
 
     def set_flags(self, pfn, flag_bits):
@@ -206,13 +187,11 @@ class PageStructArray:
             span = slice(pfn, pfn + (1 << HUGE_PAGE_ORDER))
         self.flags[span] = 0
         self.refcount[span] = 0
-        self.pt_refcount[span] = 0
 
     def on_free_bulk(self, pfns):
         """Reset metadata for many order-0 frames at once."""
         self.flags[pfns] = 0
         self.refcount[pfns] = 0
-        self.pt_refcount[pfns] = 0
 
     # ---- diagnostics -------------------------------------------------------
 
@@ -222,5 +201,5 @@ class PageStructArray:
 
     def check_no_negative(self):
         """Assert no refcount anywhere went negative."""
-        if np.any(self.refcount < 0) or np.any(self.pt_refcount < 0):
+        if np.any(self.refcount < 0):
             raise KernelBug("negative refcount detected")

@@ -34,10 +34,10 @@ the per-mm rwsem and ``"ptl"`` for the split per-leaf-table locks):
     kinds held by the caller (e.g. ``Snapshot.discard``); the refcount
     rule treats a call as closing those pins on the paths it covers.
     The same vocabulary covers the paired *counters* the
-    metrics-conservation rule tracks (``rss``, ``pt_sharers``,
-    ``table``, ``replica``): annotating an unwind helper with
-    ``@releases_refs("rss")`` tells the checker it restores the caller's
-    RSS debt.
+    metrics-conservation rule tracks (``pt_sharers``, ``table``,
+    ``replica``): annotating an unwind helper with
+    ``@releases_refs("table")`` tells the checker it unregisters the
+    tables its caller registered.
 
 ``@charge_deferred("reason")``
     The function mutates frames or PTEs but intentionally leaves the
@@ -47,7 +47,7 @@ the per-mm rwsem and ``"ptl"`` for the split per-leaf-table locks):
     charge on all normal paths — the exact shape of ``@tlb_deferred``,
     for the clock instead of the TLB.
 
-``@counters_deferred("rss", "pt_sharers", reason="...")``
+``@counters_deferred("table", "pt_sharers", reason="...")``
     The function may raise with the named counters incremented; a
     caller-side unwind (e.g. ``_abort_fork`` tearing the half-built
     child down) restores them.  The metrics-conservation rule stops
@@ -61,9 +61,9 @@ from __future__ import annotations
 #: The lock names the checker knows about (anything else is a typo).
 KNOWN_LOCKS = frozenset({"mmap_lock", "ptl"})
 #: Reference kinds tracked by the refcount-pairing rule.
-KNOWN_REF_KINDS = frozenset({"page", "ptref", "swap"})
+KNOWN_REF_KINDS = frozenset({"page", "swap"})
 #: Paired-counter kinds tracked by the metrics-conservation rule.
-KNOWN_COUNTER_KINDS = frozenset({"rss", "pt_sharers", "table", "replica"})
+KNOWN_COUNTER_KINDS = frozenset({"pt_sharers", "table", "replica"})
 
 
 def _tag(func, key, value):

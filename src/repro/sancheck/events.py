@@ -21,13 +21,11 @@ from .model import call_name
 #: Calls that take a reference, by last name segment -> pin kind.
 INC_CALLS = {
     "ref_inc": "page", "ref_inc_bulk": "page", "copy_references": "page",
-    "pt_ref_inc": "ptref",
     "swap_dup": "swap", "swap_dup_entries": "swap",
 }
 #: Calls that drop a reference (pairing with the above).
 DEC_CALLS = {
     "ref_dec": "page", "ref_dec_bulk": "page", "drop_references": "page",
-    "pt_ref_dec": "ptref",
     "swap_put": "swap", "swap_put_entries": "swap", "swap_put_rows": "swap",
 }
 #: TLB flush primitives (the ShootdownEngine / per-mm TLB surface).
@@ -46,12 +44,10 @@ TRANSFER_CALLS = frozenset({"rmap_add", "rmap_add_bulk", "set"})
 #: shapes differ between inc and dec — ``replicate_table(mm, table)``
 #: vs ``collapse_table(table_pfn)`` — so textual keys cannot pair).
 COUNTER_INC = {
-    "add_rss": "rss",
     "register_table": "table",
     "replicate_table": "replica",
 }
 COUNTER_DEC = {
-    "sub_rss": "rss",
     "drop_table_sharer": "pt_sharers",
     "unregister_table": "table",
     "collapse_table": "replica",
@@ -171,8 +167,6 @@ class KernelPathDomain:
             forked = self._apply_call(call, state)
             if forked is not None:
                 raises.append(forked)
-        if isinstance(node, ast.AugAssign):
-            self._apply_pt_refcount_aug(node, state)
         if isinstance(node, (ast.Assign, ast.AugAssign)):
             line = self._downgrade_line(node)
             if line is not None:
@@ -303,21 +297,6 @@ class KernelPathDomain:
         for key in [k for k in state.pins
                     if k[1] != "<noarg>" and k[1] in text]:
             del state.pins[key]
-
-    def _apply_pt_refcount_aug(self, node, state):
-        target_text = _text(node.target)
-        if "pt_refcount" not in target_text:
-            return
-        key = ("ptref", target_text)
-        if isinstance(node.op, ast.Add):
-            count, _ = state.pins.get(key, (0, node.lineno))
-            state.pins[key] = (count + 1, node.lineno)
-        elif isinstance(node.op, ast.Sub) and key in state.pins:
-            count, line = state.pins[key]
-            if count <= 1:
-                del state.pins[key]
-            else:
-                state.pins[key] = (count - 1, line)
 
     def _is_entries_target(self, target):
         # Exactly ``entries`` (``table.entries[i]`` or a local alias), not

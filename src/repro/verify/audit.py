@@ -40,7 +40,7 @@ def audit_machine(machine):
     kernel = machine.kernel
     pages = machine.pages
 
-    expected_pt_refs = defaultdict(int)     # leaf table pfn -> #PMD refs
+    expected_sharers = defaultdict(list)    # leaf table pfn -> [mm, ...]
     # One pfn per reference a data page should hold, in arrays: a dict
     # entry per mapped page would cost ~100 bytes of host memory each.
     page_refs = []
@@ -79,7 +79,7 @@ def audit_machine(machine):
                                           f"a shared VMA")
                         continue
                     leaf_pfn = int(entry_pfn(entry))
-                    expected_pt_refs[leaf_pfn] += 1
+                    expected_sharers[leaf_pfn].append(mm)
                     leaf = mm.resolve(leaf_pfn)
                     seen_leaf_tables[leaf_pfn] = leaf
                     leaves.append((slot_start, leaf))
@@ -105,13 +105,6 @@ def audit_machine(machine):
                         for refs in page_refs]),
         return_counts=True)
 
-    for leaf_pfn, count in expected_pt_refs.items():
-        actual = pages.pt_ref(leaf_pfn)
-        if actual != count:
-            errors.append(
-                f"leaf table {leaf_pfn}: pt_refcount {actual}, "
-                f"{count} PMD references found"
-            )
     actual = pages.refcount[referenced]
     wrong = np.flatnonzero(actual != expected)
     for pfn, have, count in zip(referenced[wrong].tolist(),
@@ -167,7 +160,7 @@ def audit_machine(machine):
     if kernel.swap is not None:
         errors += _audit_swap(kernel, seen_leaf_tables)
         errors += _audit_rmap_and_lru(kernel, pages, seen_leaf_tables)
-    errors += _audit_pt_sharers(kernel, expected_pt_refs, live_mms)
+    errors += _audit_pt_sharers(kernel, expected_sharers)
     errors += _audit_tlbs(machine, live_mms)
     errors += _audit_smp(machine)
     if kernel.numa is not None:
@@ -322,21 +315,10 @@ def _audit_rmap_and_lru(kernel, pages, seen_leaf_tables):
     return errors
 
 
-def _audit_pt_sharers(kernel, expected_pt_refs, live_mms):
+def _audit_pt_sharers(kernel, expected):
     """The sharer registry must list exactly the mms whose PMDs reference
-    each leaf table."""
+    each leaf table: its lists' lengths are the §3.5 share counts."""
     errors = []
-    expected = defaultdict(list)   # leaf pfn -> [mm, ...]
-    for mm in live_mms:
-        for pud_index in mm.pgd.present_indices().tolist():
-            pud = mm.resolve(mm.pgd.child_pfn(pud_index))
-            for pmd_index in pud.present_indices().tolist():
-                pmd = mm.resolve(pud.child_pfn(pmd_index))
-                for slot in pmd.present_indices().tolist():
-                    entry = pmd.entries[slot]
-                    if not is_huge(entry):
-                        expected[int(entry_pfn(entry))].append(mm)
-
     for leaf_pfn, mms in expected.items():
         registered = kernel.pt_sharers.get(leaf_pfn, [])
         if sorted(map(id, registered)) != sorted(map(id, mms)):

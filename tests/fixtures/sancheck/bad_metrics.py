@@ -1,13 +1,13 @@
 """Known-bad metrics-conservation fixture.
 
-``map_one_page`` bumps RSS and then hits a fallible step: the injected
-OOM leaves the function with the counter incremented and nothing mapped,
-so every later RSS assertion drifts by one.  The checker must flag the
-exception exit.
+``install_table`` registers a table and then hits a fallible step: the
+injected OOM leaves the function with the table in the registry and
+installed nowhere, so the audit finds a registered but unreachable
+table frame.  The checker must flag the exception exit.
 """
 
 
-def map_one_page(kernel, mm, pfn):
-    mm.add_rss(1, file_backed=False)
-    kernel.failpoints.hit("fixture.map_page")
-    return pfn
+def install_table(kernel, table):
+    kernel.register_table(table)
+    kernel.failpoints.hit("fixture.install_table")
+    return table

@@ -31,7 +31,7 @@ def leaf_pfns(process):
 def shared_leaf_pfns(process):
     kernel = process.kernel
     return {pfn for pfn in leaf_pfns(process)
-            if kernel.pages.pt_ref(pfn) > 1}
+            if len(kernel.pt_sharers[pfn]) > 1}
 
 
 # --------------------------------------------------------------------- #

@@ -9,11 +9,11 @@ from conftest import make_filled_region
 
 
 def leaf_info(machine, process, addr):
-    """(pmd_table, index, leaf_table, pt_refcount) for an address."""
+    """(pmd_table, index, leaf_table, share count) for an address."""
     pmd_table, index = process.mm.walk_to_pmd(addr)
     leaf_pfn = int(entry_pfn(pmd_table.entries[index]))
     leaf = machine.kernel.resolve_table(leaf_pfn)
-    return pmd_table, index, leaf, machine.pages.pt_ref(leaf_pfn)
+    return pmd_table, index, leaf, len(machine.kernel.pt_sharers[leaf_pfn])
 
 
 class TestSharing:
@@ -91,9 +91,9 @@ class TestDeferredCopy:
         addr, _ = make_filled_region(proc)
         _, _, leaf, _ = leaf_info(machine, proc, addr)
         child = proc.odfork()
-        assert machine.pages.pt_ref(leaf.pfn) == 2
+        assert len(machine.kernel.pt_sharers[leaf.pfn]) == 2
         child.write(addr, b"x")
-        assert machine.pages.pt_ref(leaf.pfn) == 1
+        assert len(machine.kernel.pt_sharers[leaf.pfn]) == 1
         # The child now has its own dedicated table.
         _, _, child_leaf, child_rc = leaf_info(machine, proc.machine and child, addr)
         assert child_leaf is not leaf

@@ -13,7 +13,6 @@ from repro.mem import (
     PG_COMPOUND_HEAD,
     PG_COMPOUND_TAIL,
     PG_FILE,
-    PG_PAGETABLE,
     PageStructArray,
 )
 from repro.mem.page import add_at, has_duplicates
@@ -47,13 +46,6 @@ class TestSingleOps:
         pages.ref_dec(1)
         with pytest.raises(KernelBug):
             pages.ref_dec(1)
-
-    def test_pt_refcount_independent(self, pages):
-        pages.on_alloc(2, PG_PAGETABLE)
-        pages.pt_refcount[2] = 1
-        assert pages.pt_ref_inc(2) == 2
-        assert pages.get_ref(2) == 1  # page refcount untouched
-        assert pages.pt_ref_dec(2) == 1
 
     def test_flag_manipulation(self, pages):
         pages.on_alloc(3, PG_ANON)
@@ -91,11 +83,9 @@ class TestCompoundPages:
     def test_compound_free_clears_span(self, pages):
         span = np.arange(1024, 1024 + (1 << HUGE_PAGE_ORDER))
         pages.on_alloc_compound(1024, PG_ANON)
-        pages.pt_refcount[1500] = 1
         pages.on_free(1024)
         assert (pages.flags[span] == 0).all()
         assert (pages.refcount[span] == 0).all()
-        assert (pages.pt_refcount[span] == 0).all()
 
     def test_compound_over_live_frames_detected(self, pages):
         pages.on_alloc(600, PG_ANON)
@@ -112,7 +102,7 @@ class TestFreshArray:
         pages = PageStructArray(4096)
         columns = {name: value for name, value in vars(pages).items()
                    if isinstance(value, np.ndarray)}
-        assert {"refcount", "pt_refcount", "flags"} <= set(columns)
+        assert {"refcount", "flags"} <= set(columns)
         for name, column in columns.items():
             assert len(column) == pages.n_frames, name
             assert not column.any(), name

@@ -95,8 +95,8 @@ class TestViolationShape:
 
     def test_metrics_violation_names_counter_and_unwind(self):
         (violation,) = run_fixture("bad_metrics.py")
-        assert violation.func == "map_one_page"
-        assert "'rss'" in violation.message
+        assert violation.func == "install_table"
+        assert "'table'" in violation.message
         assert "counters_deferred" in violation.message
 
     def test_faas_site_violation_names_the_unregistered_site(self):

@@ -3,7 +3,8 @@
 import pytest
 
 from repro import MIB, SegmentationFault
-from repro.errors import ProcessError
+from repro.errors import KernelBug, ProcessError
+from repro.kernel.tableops import put_pte_table
 from conftest import make_filled_region
 
 
@@ -61,6 +62,18 @@ class TestSharedTableUnmap:
         child.munmap(addr, 2 * MIB)
         # Last reference gone: the data pages are freed.
         assert machine.live_data_frames() < live_full - 200
+
+
+class TestTablePut:
+    def test_last_put_of_a_populated_table_is_a_bug(self, proc, machine):
+        """Every caller empties a table before its last put, so the
+        destructor has nothing to release: a populated dying table is a
+        kernel bug, not a silent release of its pages."""
+        addr, _ = make_filled_region(proc, size=2 * MIB)
+        leaf = proc.mm.get_pte_table(addr)
+        with pytest.raises(KernelBug, match=f"leaf table {leaf.pfn} with "
+                                            f"live entries"):
+            put_pte_table(machine.kernel, proc.mm, leaf)
 
 
 class TestExit:

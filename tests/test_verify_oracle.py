@@ -228,6 +228,40 @@ class TestAuditDetects:
                            match=f"table frame {stray} not registered"):
             audit_machine(machine)
 
+    def test_extra_sharer_is_reported(self):
+        from repro.verify import audit_machine
+        machine, proc, child, _ = self._filled()
+        [(_pmd, _index, leaf)] = proc.mm.leaf_tables()
+        machine.kernel.pt_sharers[leaf.pfn].append(child.mm)
+        with pytest.raises(AssertionError,
+                           match=f"pt_sharers for leaf {leaf.pfn}: 2 "
+                                 f"registered, 1 referencing mms found"):
+            audit_machine(machine)
+
+    def test_missing_sharer_is_reported(self):
+        from repro.verify import audit_machine
+        machine, proc, _, _ = self._filled()
+        [(_pmd, _index, leaf)] = proc.mm.leaf_tables()
+        machine.kernel.pt_sharers[leaf.pfn].remove(proc.mm)
+        with pytest.raises(AssertionError,
+                           match=f"pt_sharers for leaf {leaf.pfn}: 0 "
+                                 f"registered, 1 referencing mms found"):
+            audit_machine(machine)
+
+    def test_sharers_left_behind_by_a_freed_table_are_reported(self):
+        from repro.verify import audit_machine
+        machine, _, child, _ = self._filled()
+        [(_pmd, _index, leaf)] = child.mm.leaf_tables()
+        sharers = machine.kernel.pt_sharers
+        left_behind = list(sharers[leaf.pfn])
+        child.exit()
+        assert leaf.pfn not in sharers
+        sharers[leaf.pfn] = left_behind
+        with pytest.raises(AssertionError,
+                           match=f"pt_sharers tracks dead leaf table "
+                                 f"{leaf.pfn}"):
+            audit_machine(machine)
+
     def test_allocation_over_a_free_block_is_reported(self):
         from repro.errors import KernelBug
         machine, *_ = self._filled()
