@@ -274,8 +274,7 @@ def fast_fill_run(kernel, mm, vma, pmd_table, table_base, lo, hi, is_write,
     kernel.pages.on_alloc_bulk(pfns, PG_ANON | (PG_DIRTY if is_write else 0))
     rmap = kernel.rmap
     if rmap is not None:
-        families = np.array([rmap.family[leaf.pfn] for leaf in leaves],
-                            dtype=np.int64)
+        families = np.array([leaf.family for leaf in leaves], dtype=np.int64)
         homes = (families[:, None] * PTRS_PER_TABLE
                  + np.arange(PTRS_PER_TABLE, dtype=np.int64))
         rmap_add_bulk(kernel, pfns,
@@ -326,7 +325,7 @@ def _access_leaf_piece(kernel, mm, vma, pmd_table, pmd_index, slot_start,
     else:
         need_fill = int(np.count_nonzero(~present))
 
-    shared = len(kernel.pt_sharers[leaf.pfn]) > 1
+    shared = len(leaf.sharers) > 1
     if shared and (is_write or need_fill or has_swap):
         leaf = copy_shared_pte_table(kernel, mm, pmd_table, pmd_index, slot_start)
         events["table_copies"] += 1

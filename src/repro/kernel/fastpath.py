@@ -13,7 +13,7 @@ Each page column is read once
 (:func:`~repro.paging.entries.present_pfns`), and only the buddy calls
 stay per slot: fork adopts a PMD table's leaf tables in one
 :meth:`~repro.kernel.mm.MMStruct.adopt_leaf_tables` batch, and exit
-drops its dead tables' sharers, rmap families and packed rows in one.
+drops its dead tables' rmap families and packed rows in one.
 
 Equivalence contract (enforced by ``repro.verify --equivalence`` and
 ``tests/test_vectorized_equivalence.py``): a run with the fast path
@@ -269,7 +269,6 @@ def fast_copy_mm_classic(kernel, parent_mm, child_mm):
     plan = []
     n_leaf_total = 0
     pud_keys = set()
-    resolve = kernel.resolve_table
     for pmd, base in iter_parent_pmd_tables(parent_mm):
         entries = pmd.entries
         present = present_mask(entries)
@@ -278,8 +277,7 @@ def fast_copy_mm_classic(kernel, parent_mm, child_mm):
         huge = (entries & BIT_PS) != ENTRY_NONE
         leaf_pos = np.nonzero(present & ~huge)[0]
         huge_pos = np.nonzero(present & huge)[0]
-        parents = [resolve(ppfn)
-                   for ppfn in entry_pfn(entries[leaf_pos]).tolist()]
+        parents = kernel.resolve_tables(entry_pfn(entries[leaf_pos]).tolist())
         plan.append((pmd, base, leaf_pos, huge_pos, parents))
         n_leaf_total += len(leaf_pos)
         pud_keys.add(base // LEVEL_SPAN[LEVEL_PGD])
@@ -293,7 +291,6 @@ def fast_copy_mm_classic(kernel, parent_mm, child_mm):
     store = kernel.entry_store
     pages = kernel.pages
     allocator = kernel.allocator
-    sharers = kernel.pt_sharers
 
     builder = begin_classic_copy(kernel, parent_mm, child_mm)
 
@@ -327,8 +324,8 @@ def fast_copy_mm_classic(kernel, parent_mm, child_mm):
             # alone — their PMD entry already carries RW=0 and the
             # table-COW protocol owns their entry bits.
             if cow.any():
-                dedicated = np.array([len(sharers[t.pfn]) == 1
-                                      for t in parents], dtype=bool)
+                dedicated = np.array([len(t.sharers) == 1 for t in parents],
+                                     dtype=bool)
                 if dedicated.all():
                     store.scatter(parent_rows, matrix)
                 elif dedicated.any():
@@ -441,19 +438,21 @@ def fast_exit_release_pmd_table(kernel, mm, pmd_table, table_base):
     huge_positions = np.nonzero(present & huge)[0]
 
     # ---- read-only analysis (a bail-out must mutate nothing) ------------
-    dead_tables = []
+    dead_tables = shared_tables = []
     surviving = None
     leaf_pfns = dead_pfns = all_pfns = counts = matrix = None
     has_swap = False
     if len(leaf_positions):
         leaf_pfns = entry_pfn(entries[leaf_positions]).astype(np.int64)
-        sharers = kernel.pt_sharers
-        surviving = np.array([len(sharers[tpfn]) > 1
-                              for tpfn in leaf_pfns.tolist()], dtype=bool)
+        leaves = kernel.resolve_tables(leaf_pfns.tolist())
+        shared = [len(t.sharers) > 1 for t in leaves]
+        surviving = np.array(shared, dtype=bool)
+        if surviving.any():
+            shared_tables = [t for t, s in zip(leaves, shared) if s]
+            dead_tables = [t for t, s in zip(leaves, shared) if not s]
+        else:
+            dead_tables = leaves
         dead_pfns = leaf_pfns[~surviving]
-        dead = dead_pfns.tolist()
-        resolve = kernel.resolve_table
-        dead_tables = [resolve(tpfn) for tpfn in dead]
         matrix = kernel.entry_store.gather([t.row for t in dead_tables])
         pres, all_pfns = present_pfns(matrix)
         counts = _row_counts(pres, len(all_pfns))
@@ -480,10 +479,10 @@ def fast_exit_release_pmd_table(kernel, mm, pmd_table, table_base):
     charge_ns = []
 
     # ---- shared leaf tables: one refcount decrement each ----------------
-    if surviving is not None and surviving.any():
-        n_dropped = drop_shared_tables(kernel, mm, pmd_table,
+    if shared_tables:
+        n_dropped = drop_shared_tables(mm, pmd_table,
                                        leaf_positions[surviving],
-                                       leaf_pfns[surviving])
+                                       shared_tables)
         charge_ids.append(np.array([_ID_PUT], dtype=np.int64))
         charge_ns.append(np.array([p.odf_table_put * n_dropped]))
 
@@ -532,7 +531,7 @@ def fast_exit_release_pmd_table(kernel, mm, pmd_table, table_base):
         # in the per-event walk.
         allocator = kernel.allocator
         release_swap_slot = kernel.release_swap_slot
-        for i, table_pfn in enumerate(dead):
+        for i, table in enumerate(dead_tables):
             lo, hi = zeroed_at[i], zeroed_at[i + 1]
             if hi > lo:
                 # ref_dec_bulk hands free_anon_frames a sorted unique
@@ -542,16 +541,16 @@ def fast_exit_release_pmd_table(kernel, mm, pmd_table, table_base):
                 allocator.free_bulk(zeroed[lo:hi])
             for slot in released[i]:
                 release_swap_slot(slot)
-            allocator.free(table_pfn, 0)
+            allocator.free(table.pfn, 0)
         # Each dead table's only sharer is this mm.
-        unshared = kernel.pt_sharers.pop
-        strays = [pfn for pfn in dead if mm not in unshared(pfn, ())]
+        strays = [t.pfn for t in dead_tables if t.sharers != [mm]]
         if strays:
             raise KernelBug(f"mm {mm.owner_pid} is not a registered sharer "
                             f"of tables {strays[:8]}")
         if kernel.rmap is not None:
-            kernel.rmap.leave(dead)
-        kernel.unregister_table(dead_tables)  # re-zeroes the packed rows
+            kernel.rmap.leave(dead_tables)
+        # Re-zeroes the packed rows and drops each table's sharer list.
+        kernel.unregister_table(dead_tables)
         kernel.phys.zero_bulk(zeroed)
         kernel.phys.zero_bulk(dead_pfns)
         pages.on_free_bulk(dead_pfns)

@@ -219,7 +219,7 @@ class FaultHandler:
             # KCSAN watchpoint on the leaf table, keyed by the pfn the
             # split-PTL protocol locks on for this address.
             kernel.san_access("pt", leaf_pfn)
-            shared = len(kernel.pt_sharers[leaf_pfn]) > 1
+            shared = len(leaf.sharers) > 1
             if shared and (is_write
                            or not leaf.entries.item(pte_index) & INT_PRESENT):
                 # §3.4: the kernel must modify the table (install an entry

@@ -207,7 +207,7 @@ def classic_copy_slot(kernel, parent_mm, child_mm, builder, pmd, pmd_index,
     if cow_mask.any():
         all_cow = cow_mask.all()
         write_protect(child_leaf.entries, cow_mask, all_cow)
-        if len(kernel.pt_sharers[parent_pfn]) == 1:
+        if len(parent_leaf.sharers) == 1:
             # Dedicated parent table: write-protect it too, exactly as
             # copy_one_pte does.  A shared parent table is left alone —
             # its PMD entry already has RW=0, which protects every

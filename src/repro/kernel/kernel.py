@@ -152,11 +152,6 @@ class Kernel:
         # configured; without one every hook below is None and the kernel
         # behaves exactly as it did before the subsystem existed.
         self.swap = swap
-        #: leaf-table pfn -> [MMStruct, ...] sharing that table; lets
-        #: try_to_unmap flush each sharer's TLB when it edits a shared
-        #: table in place, and gives TLB shootdowns their target set.
-        #: Maintained unconditionally since the SMP subsystem.
-        self.pt_sharers = {}
         if swap is not None:
             from ..mem.swap import SwapCache
             from .reclaim import ReclaimState
@@ -224,9 +219,7 @@ class Kernel:
         for table in tables:
             if registry.pop(table.pfn, None) is None:
                 raise KernelBug(f"table frame {table.pfn} not registered")
-            row = table.detach_row()
-            if row >= 0:
-                rows.append(row)
+            rows.append(table.detach_row())
         self.entry_store.release(rows)
 
     def resolve_table(self, pfn):
@@ -235,6 +228,15 @@ class Kernel:
             return self._tables[pfn]
         except KeyError:
             raise KernelBug(f"no page table at pfn {pfn}") from None
+
+    def resolve_tables(self, pfns):
+        """The PageTable objects backing the table frames ``pfns`` (a
+        list), in order: one registry call for a whole PMD table's
+        leaves."""
+        try:
+            return list(map(self._tables.__getitem__, pfns))
+        except KeyError as exc:
+            raise KernelBug(f"no page table at pfn {exc.args[0]}") from None
 
     @property
     def live_tables(self):
@@ -1007,7 +1009,7 @@ class Kernel:
         node_of = self.allocator.node_of
         moved = 0
         for _pmd, _index, leaf in mm.leaf_tables():
-            if len(self.pt_sharers[leaf.pfn]) > 1:
+            if len(leaf.sharers) > 1:
                 continue     # fork-shared table: moving would edit sharers
             for pte_index in leaf.present_indices().tolist():
                 entry = leaf.entries[pte_index]

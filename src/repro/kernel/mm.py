@@ -108,12 +108,12 @@ class MMStruct:
         kernel = self.kernel
         pfn = kernel.alloc_table_frame()
         kernel.pages.on_alloc(pfn, PG_PAGETABLE)
-        table = PageTable(level, pfn, store=kernel.entry_store)
+        is_leaf = level == LEVEL_PTE
+        table = PageTable(level, pfn, kernel.entry_store,
+                          [self] if is_leaf else None)
         kernel.register_table(table)
-        if level == LEVEL_PTE:
-            kernel.pt_sharers[pfn] = [self]
-            if kernel.rmap is not None:
-                kernel.rmap.join(table, copy_of)
+        if is_leaf and kernel.rmap is not None:
+            kernel.rmap.join(table, copy_of)
         if kernel.mitosis is not None:
             # Mitosis: every fresh table grows per-node replicas (best
             # effort — on OOM the table simply runs unreplicated).
@@ -131,10 +131,9 @@ class MMStruct:
         kernel.pages.on_alloc_bulk(np.asarray(pfns, dtype=np.int64),
                                    PG_PAGETABLE)
         store = kernel.entry_store
-        tables = [PageTable(LEVEL_PTE, pfn, store=store) for pfn in pfns]
+        tables = [PageTable(LEVEL_PTE, pfn, store, [self]) for pfn in pfns]
         for table in tables:
             kernel.register_table(table)
-        kernel.pt_sharers.update((pfn, [self]) for pfn in pfns)
         rmap = kernel.rmap
         if rmap is not None:
             for table, source in zip(tables, copy_of or [None] * len(tables)):
@@ -151,10 +150,8 @@ class MMStruct:
             # Replicas die with their primary — before the registry entry
             # goes, while node_of/accounting still see a live table.
             kernel.mitosis.collapse_table(table.pfn, reason="free")
-        if table.level == LEVEL_PTE:
-            kernel.pt_sharers.pop(table.pfn, None)
-            if kernel.rmap is not None:
-                kernel.rmap.leave([table.pfn])
+        if table.level == LEVEL_PTE and kernel.rmap is not None:
+            kernel.rmap.leave([table])
         kernel.unregister_table([table])
         kernel.pages.on_free(table.pfn)
         kernel.phys.zero(table.pfn)
@@ -325,7 +322,6 @@ class MMStruct:
             return 0, 0
         kernel = self.kernel
         flags = kernel.pages.flags
-        resolve = kernel.resolve_table
         anon = file = 0
         for pmd, _base in iter_parent_pmd_tables(self):
             entries = pmd.entries
@@ -336,7 +332,7 @@ class MMStruct:
             if not leaf_pfns:
                 continue
             _, pfns = present_pfns(kernel.entry_store.gather(
-                [resolve(pfn).row for pfn in leaf_pfns]))
+                [leaf.row for leaf in kernel.resolve_tables(leaf_pfns)]))
             n_file = int(np.count_nonzero(flags.take(pfns) & PG_FILE))
             file += n_file
             anon += len(pfns) - n_file

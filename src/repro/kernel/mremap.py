@@ -50,7 +50,7 @@ def _dedicated_leaf_for(kernel, mm, vaddr):
     if is_huge(entry):
         raise KernelBug("mremap target collided with a huge mapping")
     leaf = mm.resolve(int(entry_pfn(entry)))
-    if len(kernel.pt_sharers[leaf.pfn]) > 1:
+    if len(leaf.sharers) > 1:
         leaf = copy_shared_pte_table(kernel, mm, pmd_table, pmd_index,
                                      level_base(vaddr, 2))
     return pmd_table, pmd_index, leaf
@@ -86,7 +86,7 @@ def move_mapping(kernel, mm, vma, new_size):
         if is_huge(entry):
             raise KernelBug("mremap over hugetlb should have been rejected")
         leaf = mm.resolve(int(entry_pfn(entry)))
-        if len(kernel.pt_sharers[leaf.pfn]) > 1:
+        if len(leaf.sharers) > 1:
             leaf = copy_shared_pte_table(kernel, mm, pmd_table, pmd_index, slot_start)
         lo_index = (lo - slot_start) // PAGE_SIZE
         hi_index = (hi - slot_start) // PAGE_SIZE

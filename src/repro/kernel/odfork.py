@@ -116,8 +116,8 @@ def share_pmd_entries(kernel, parent_mm, child_mm, builder, parent_pmd,
 
     if leaf_positions.any():
         pfns = entry_pfn(entries[leaf_positions]).tolist()
-        for leaf_pfn in pfns:
-            kernel.pt_sharers[leaf_pfn].append(child_mm)
+        for table in kernel.resolve_tables(pfns):
+            table.sharers.append(child_mm)
         if kernel.mitosis is not None:
             _apply_replica_share_policy(kernel, child_mm, pfns)
         protected = entries[leaf_positions] & drop_rw

@@ -9,12 +9,13 @@ Linux minimum (``_mapcount``; ``anon_vma`` is walked only at unmap time):
   one per table *object*, so a fork-shared table counts once.  A bulk
   call updates it in one numpy step; its 0 <-> mapped transitions drive
   the LRU in the order the pfns were passed.
-* Every leaf table belongs to a *family*: a fresh table starts one, a
-  classic-fork or table-COW copy joins its source's.  Copies keep entry
-  positions, so a page records one *home* ``(family, index)`` when it
-  goes from 0 to mapped, and PTEs installed anywhere else (mremap moves,
-  swap-cache hits through a moved swap entry) go on a per-page overflow
-  list until the mapcount returns to 0.
+* Every leaf table belongs to a *family*, kept in its
+  ``PageTable.family``: a fresh table starts one, a classic-fork or
+  table-COW copy joins its source's.  Copies keep entry positions, so a
+  page records one *home* ``(family, index)`` when it goes from 0 to
+  mapped, and PTEs installed anywhere else (mremap moves, swap-cache
+  hits through a moved swap entry) go on a per-page overflow list until
+  the mapcount returns to 0.
 * :meth:`RmapState.mappings` reads entry ``index`` of every live member
   of each home family; the matches must add up to ``mapcount``.
 
@@ -22,7 +23,7 @@ The interesting case is the paper's: a victim mapped through a PTE
 table *shared* by on-demand-fork.  :func:`try_to_unmap` does not
 unshare — one table object covers every sharer, and editing the shared
 table in place unmaps the page from all of them at once (each sharer's
-TLB is flushed via the ``pt_sharers`` registry).
+TLB is flushed through the table's own sharer list).
 The in-place edit is the cheap side of the unshare-or-edit decision;
 each shared table touched is counted in ``shared_table_unmaps`` and
 charged to the cost model so benchmarks see the price.
@@ -62,7 +63,7 @@ _NOT_ACCESSED = ~_ACCESSED
 
 
 class RmapState:
-    """The mapcount and home columns, plus the leaf-table families."""
+    """The mapcount and home columns, plus each family's live members."""
 
     def __init__(self, n_frames):
         #: PTEs (one per table object) mapping each anon order-0 frame.
@@ -71,8 +72,6 @@ class RmapState:
         self.home = np.zeros(n_frames, dtype=np.int64)
         #: pfn -> further homes, for mappings installed away from the home.
         self.overflow = {}
-        #: leaf-table pfn -> family id
-        self.family = {}
         #: family id -> {leaf-table pfn: PageTable} of its live members
         self.members = {}
         self._next_family = 0
@@ -86,22 +85,21 @@ class RmapState:
             self._next_family += 1
             self.members[family] = {}
         else:
-            family = self.family[copy_of.pfn]
-        self.family[table.pfn] = family
+            family = copy_of.family
+        table.family = family
         self.members[family][table.pfn] = table
 
-    def leave(self, table_pfns):
+    def leave(self, tables):
         """Leaf tables were freed."""
-        for table_pfn in table_pfns:
-            family = self.family.pop(table_pfn)
-            members = self.members[family]
-            del members[table_pfn]
+        for table in tables:
+            members = self.members[table.family]
+            del members[table.pfn]
             if not members:
-                del self.members[family]
+                del self.members[table.family]
 
-    def home_of(self, table_pfn, index):
+    def home_of(self, table, index):
         """The home value of entry ``index`` of a leaf table."""
-        return self.family[table_pfn] * PTRS_PER_TABLE + index
+        return table.family * PTRS_PER_TABLE + index
 
     def add_home(self, pfn, home):
         """A mapped page gained a PTE at ``home``; remember it if new."""
@@ -169,7 +167,7 @@ def rmap_add(kernel, pfn, leaf, index):
     rmap = kernel.rmap
     if rmap is None or not _eligible(kernel.pages, pfn):
         return
-    home = rmap.home_of(leaf.pfn, index)
+    home = rmap.home_of(leaf, index)
     count = rmap.mapcount.item(pfn) + 1
     rmap.mapcount[pfn] = count
     if count == 1:
@@ -204,8 +202,7 @@ def rmap_add_bulk(kernel, pfns, leaf=None, indices=None, homes=None, *,
     if homes is not None:
         homes = homes[mask]
     elif leaf is not None:
-        homes = rmap.home_of(leaf.pfn,
-                             np.asarray(indices, dtype=np.int64)[mask])
+        homes = rmap.home_of(leaf, np.asarray(indices, dtype=np.int64)[mask])
     else:
         add_at(mapcount, pfns, 1, _unique)
         return
@@ -251,7 +248,7 @@ def rmap_move(kernel, pfn, leaf, index):
     """A mapping of ``pfn`` moved to ``leaf.entries[index]`` (mremap)."""
     rmap = kernel.rmap
     if rmap is not None and _eligible(kernel.pages, pfn):
-        rmap.add_home(pfn, rmap.home_of(leaf.pfn, index))
+        rmap.add_home(pfn, rmap.home_of(leaf, index))
 
 
 @charge_deferred("the LRU aging loops charge charge_lru_scan per probe")
@@ -303,13 +300,14 @@ def try_to_unmap(kernel, pfn, slot):
             leaf.entries[index] = entry_value
         n = len(indices)
         kernel.swap_dup(slot, n)
-        if len(kernel.pt_sharers[leaf.pfn]) > 1:
+        sharers = leaf.sharers
+        if len(sharers) > 1:
             # The unshare-or-edit decision: edit in place, charge for it.
             kernel.stats.shared_table_unmaps += 1
             kernel.cost.charge_shared_table_unmap()
         # Unmapping changes translations under every sharer at once, and
         # any vCPU running one of them must be interrupted too.
-        kernel.tlbs.shootdown_sharers(leaf.pfn)
+        kernel.tlbs.shootdown_sharers(sharers)
         total += n
     if total:
         _unmapped(kernel, pfn, total)

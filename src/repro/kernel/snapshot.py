@@ -39,6 +39,7 @@ from ..sancheck.annotations import acquires, releases_refs
 import numpy as np
 
 from ..errors import InvalidArgumentError, KernelBug
+from ..mem.page import has_duplicates
 from ..paging.entries import BIT_RW, entry_pfn, is_huge, is_present, present_mask
 from ..paging.table import PMD_REGION_SIZE
 from .fork import iter_parent_slots
@@ -93,7 +94,7 @@ class Snapshot:
         try:
             for pmd_table, pmd_index, slot_start, entry in iter_parent_slots(mm):
                 leaf = mm.resolve(int(entry_pfn(entry)))
-                if len(kernel.pt_sharers[leaf.pfn]) > 1:
+                if len(leaf.sharers) > 1:
                     # Unshare proactively: restore must own its tables.
                     leaf = copy_shared_pte_table(kernel, mm, pmd_table,
                                                  pmd_index, slot_start)
@@ -148,7 +149,7 @@ class Snapshot:
         restored_entries = 0
         for (pmd_table, pmd_index, slot_start), saved in self.saved.items():
             leaf = self._current_leaf(pmd_table, pmd_index)
-            if len(kernel.pt_sharers[leaf.pfn]) > 1:
+            if len(leaf.sharers) > 1:
                 # An odfork after the snapshot shared this table; editing
                 # it in place would rewrite the other sharers' view, so
                 # restore follows the same rule as any table-modifying
@@ -169,11 +170,14 @@ class Snapshot:
             saved_present = present_mask(saved_slice)
             keep_pfns = entry_pfn(saved_slice[saved_present]).astype(np.int64)
             if len(keep_pfns):
-                # Re-take the table-ownership references for the pages the
-                # table is about to map again; the snapshot keeps its own.
-                kernel.pages.ref_inc_bulk(keep_pfns)
+                # Re-take the table-ownership references and mappings for
+                # the pages the table is about to map again (the snapshot
+                # keeps its own), under one uniqueness proof.
+                unique = not has_duplicates(keep_pfns)
+                kernel.pages.ref_inc_bulk(keep_pfns, _unique=unique)
+                rmap_add_bulk(kernel, keep_pfns, leaf,
+                              positions[saved_present], _unique=unique)
             leaf.entries[positions] = saved_slice
-            rmap_add_bulk(kernel, keep_pfns, leaf, positions[saved_present])
             restored_entries += len(positions)
             kernel.cost.charge("snapshot_restore_entries",
                                RESTORE_PER_ENTRY_NS * len(positions))

@@ -83,7 +83,7 @@ def _zap_pmd_slot(kernel, mm, pmd_table, pmd_index, slot_start, lo, hi):
         entry = pmd_table.entries[pmd_index]
 
     leaf = mm.resolve(int(entry_pfn(entry)))
-    if len(kernel.pt_sharers[leaf.pfn]) > 1:
+    if len(leaf.sharers) > 1:
         if whole_slot:
             # §3.3 fast path: drop our reference, preserve the entries
             # for the other sharers.
@@ -140,14 +140,13 @@ def _exit_release_pmd_table(kernel, mm, pmd_table, table_base):
     huge = (entries & BIT_PS) != np.uint64(0)
     leaf_positions = np.nonzero(present & ~huge)[0]
     if len(leaf_positions):
-        pfns = entry_pfn(entries[leaf_positions]).astype(np.int64)
-        sharers = kernel.pt_sharers
-        surviving = np.array([len(sharers[pfn]) > 1 for pfn in pfns.tolist()],
-                             dtype=bool)
-        if surviving.any():
-            n_dropped = drop_shared_tables(kernel, mm, pmd_table,
-                                           leaf_positions[surviving],
-                                           pfns[surviving])
+        leaves = kernel.resolve_tables(
+            entry_pfn(entries[leaf_positions]).tolist())
+        shared = [len(leaf.sharers) > 1 for leaf in leaves]
+        if any(shared):
+            n_dropped = drop_shared_tables(
+                mm, pmd_table, leaf_positions[np.array(shared)],
+                [leaf for leaf, s in zip(leaves, shared) if s])
             kernel.cost.charge_table_put(n_dropped)
     # The shared slots just dropped read as absent to the per-slot body.
     positions = leaf_positions.tolist() + np.nonzero(present & huge)[0].tolist()

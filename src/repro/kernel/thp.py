@@ -117,7 +117,7 @@ class Khugepaged:
         if not is_present(entry) or is_huge(entry):
             return False
         leaf = mm.resolve(int(entry_pfn(entry)))
-        if len(kernel.pt_sharers[leaf.pfn]) != 1:
+        if len(leaf.sharers) != 1:
             return False  # shared with another process: never collapse
         entries = leaf.entries
         present = present_mask(entries)

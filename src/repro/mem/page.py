@@ -10,8 +10,8 @@ vectorised operation).
 
 The paper's implementation note (§4 "Memory Usage") stores the shared-PTE-
 table reference counter in an unused union inside ``struct page``.  This
-model keeps no such column: the count is the length of the table's sharer
-list (``Kernel.pt_sharers``), which TLB shootdowns need anyway.
+model keeps no such column: the count is the length of the table's own
+sharer list (``PageTable.sharers``), which TLB shootdowns need anyway.
 """
 
 from __future__ import annotations

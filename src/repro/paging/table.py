@@ -91,42 +91,43 @@ _DEAD_ENTRIES.flags.writeable = False
 class PageTable:
     """One 512-entry paging-structure node backed by a physical frame.
 
-    The entry array either stands alone (``store=None`` — handy for unit
-    tests) or is a row view into a machine-wide packed
+    The entry array is a row view into a machine-wide packed
     :class:`~repro.paging.store.EntryStore`, which is what lets fork,
     teardown, and the analytic fast path process *many* tables with one
     vectorised operation.
+
+    A leaf (PTE) table also carries what the kernel keeps in a page
+    table's ``struct page``: ``sharers``, the mms sharing it (the list's
+    length is the paper's §3.5 reference count), and ``family``, its
+    reverse-mapping family (:class:`~repro.kernel.rmap.RmapState`).
+    Upper-level tables leave both ``None``.
     """
 
-    __slots__ = ("level", "pfn", "entries", "store", "row")
+    __slots__ = ("level", "pfn", "entries", "row", "sharers", "family")
 
-    def __init__(self, level, pfn, store=None):
+    def __init__(self, level, pfn, store, sharers=None):
         if level not in LEVEL_NAMES:
             raise InvalidArgumentError(f"bad table level {level}")
         self.level = level
         self.pfn = pfn
-        self.store = store
-        if store is None:
-            self.row = -1
-            self.entries = np.zeros(PTRS_PER_TABLE, dtype=np.uint64)
-        else:
-            self.row = store.acquire()
-            self.entries = store.row_view(self.row)
+        self.row = store.acquire()
+        self.entries = store.row_view(self.row)
+        self.sharers = sharers
+        self.family = None
 
     def detach_row(self):
         """Detach this table from its packed row (table freed).
 
         Returns the row id for the caller to hand back to the store with
-        :meth:`~repro.paging.store.EntryStore.release` (-1 for a
-        store-less table).  The entries rebind to a read-only zero array,
-        so a stale write through the dead table raises instead of
-        scribbling on a recycled row.
+        :meth:`~repro.paging.store.EntryStore.release`.  The entries
+        rebind to a read-only zero array and the sharer list goes, so a
+        stale entry write or share-count read through the dead table
+        raises instead of touching a recycled row or a live count.
         """
         row = self.row
-        if self.store is not None:
-            self.store = None
-            self.row = -1
-            self.entries = _DEAD_ENTRIES
+        self.row = -1
+        self.entries = _DEAD_ENTRIES
+        self.sharers = None
         return row
 
     def get(self, index):

@@ -260,14 +260,13 @@ class ShootdownEngine:
                 points.tracepoint("tlb.flush", pages=n_pages)
         self._remote_invalidate([mm], start, end)
 
-    def shootdown_sharers(self, leaf_pfn, mms=None):
-        """Full flush of every address space sharing PTE table ``leaf_pfn``.
+    def shootdown_sharers(self, mms):
+        """Full flush of every address space in ``mms``, the sharer list
+        of one PTE table.
 
         Used by reclaim's in-place unmap of a fork-shared table: the edit
         changes translations under *all* sharers at once.
         """
-        if mms is None:
-            mms = list(self.kernel.pt_sharers.get(int(leaf_pfn), ()))
         for mm in mms:
             mm.tlb.flush_all()
         sender = self._sender()

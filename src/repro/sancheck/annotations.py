@@ -34,7 +34,7 @@ the per-mm rwsem and ``"ptl"`` for the split per-leaf-table locks):
     kinds held by the caller (e.g. ``Snapshot.discard``); the refcount
     rule treats a call as closing those pins on the paths it covers.
     The same vocabulary covers the paired *counters* the
-    metrics-conservation rule tracks (``pt_sharers``, ``table``,
+    metrics-conservation rule tracks (``sharers``, ``table``,
     ``replica``): annotating an unwind helper with
     ``@releases_refs("table")`` tells the checker it unregisters the
     tables its caller registered.
@@ -47,7 +47,7 @@ the per-mm rwsem and ``"ptl"`` for the split per-leaf-table locks):
     charge on all normal paths — the exact shape of ``@tlb_deferred``,
     for the clock instead of the TLB.
 
-``@counters_deferred("table", "pt_sharers", reason="...")``
+``@counters_deferred("table", "sharers", reason="...")``
     The function may raise with the named counters incremented; a
     caller-side unwind (e.g. ``_abort_fork`` tearing the half-built
     child down) restores them.  The metrics-conservation rule stops
@@ -63,7 +63,7 @@ KNOWN_LOCKS = frozenset({"mmap_lock", "ptl"})
 #: Reference kinds tracked by the refcount-pairing rule.
 KNOWN_REF_KINDS = frozenset({"page", "swap"})
 #: Paired-counter kinds tracked by the metrics-conservation rule.
-KNOWN_COUNTER_KINDS = frozenset({"pt_sharers", "table", "replica"})
+KNOWN_COUNTER_KINDS = frozenset({"sharers", "table", "replica"})
 
 
 def _tag(func, key, value):

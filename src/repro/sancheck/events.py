@@ -48,7 +48,7 @@ COUNTER_INC = {
     "replicate_table": "replica",
 }
 COUNTER_DEC = {
-    "drop_table_sharer": "pt_sharers",
+    "drop_table_sharer": "sharers",
     "unregister_table": "table",
     "collapse_table": "replica",
 }
@@ -253,12 +253,12 @@ class KernelPathDomain:
             state.counts[kind] = (count + 1, call.lineno)
         elif name in COUNTER_DEC:
             state.counts.pop(COUNTER_DEC[name], None)
-        elif name == "append" and "pt_sharers" in receiver:
-            # odfork's vectorised loop grows the sharer list in place.
-            count, _ = state.counts.get("pt_sharers", (0, call.lineno))
-            state.counts["pt_sharers"] = (count + 1, call.lineno)
-        elif name in ("pop", "remove") and "pt_sharers" in receiver:
-            state.counts.pop("pt_sharers", None)
+        elif name == "append" and receiver.endswith("sharers"):
+            # odfork's share loop grows a table's sharer list in place.
+            count, _ = state.counts.get("sharers", (0, call.lineno))
+            state.counts["sharers"] = (count + 1, call.lineno)
+        elif name in ("pop", "remove") and receiver.endswith("sharers"):
+            state.counts.pop("sharers", None)
 
         if name == "clear" and call.args and "table" in receiver:
             state.tlb_line = call.lineno

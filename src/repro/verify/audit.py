@@ -45,6 +45,7 @@ def audit_machine(machine):
     # entry per mapped page would cost ~100 bytes of host memory each.
     page_refs = []
     seen_leaf_tables = {}
+    reachable_tables = set()
 
     live_mms = []
     seen_mm_ids = set()
@@ -57,10 +58,13 @@ def audit_machine(machine):
     for mm in live_mms:
         n_huge = 0
         leaves = []
+        reachable_tables.add(mm.pgd.pfn)
         for pud_index in mm.pgd.present_indices().tolist():
             pud = mm.resolve(mm.pgd.child_pfn(pud_index))
+            reachable_tables.add(pud.pfn)
             for pmd_index in pud.present_indices().tolist():
                 pmd = mm.resolve(pud.child_pfn(pmd_index))
+                reachable_tables.add(pmd.pfn)
                 entries = pmd.entries
                 for slot in pmd.present_indices().tolist():
                     entry = entries[slot]
@@ -135,11 +139,7 @@ def audit_machine(machine):
     # Registered table frames must be exactly the reachable ones: a table
     # allocated but never installed (a botched unwind) would otherwise
     # pass every refcount check while leaking its frame.
-    reachable_tables = set(seen_leaf_tables)
-    for mm in live_mms:
-        reachable_tables.add(mm.pgd.pfn)
-        for table in mm.upper_tables():
-            reachable_tables.add(table.pfn)
+    reachable_tables.update(seen_leaf_tables)
     registered = set(kernel._tables)
     stray = registered - reachable_tables
     unregistered = reachable_tables - registered
@@ -149,18 +149,11 @@ def audit_machine(machine):
     if unregistered:
         errors.append(f"reachable table frames not registered: "
                       f"{sorted(unregistered)[:8]}")
-    # Every kernel table lives in a packed EntryStore row: the fork, exit
-    # and odfork sweeps gather rows and have no store-less fallback.
-    rowless = sorted(pfn for pfn, table in kernel._tables.items()
-                     if table.row < 0)
-    if rowless:
-        errors.append(f"registered tables without a packed row: "
-                      f"{rowless[:8]}")
 
     if kernel.swap is not None:
         errors += _audit_swap(kernel, seen_leaf_tables)
         errors += _audit_rmap_and_lru(kernel, pages, seen_leaf_tables)
-    errors += _audit_pt_sharers(kernel, expected_sharers)
+    errors += _audit_sharers(seen_leaf_tables, expected_sharers)
     errors += _audit_tlbs(machine, live_mms)
     errors += _audit_smp(machine)
     if kernel.numa is not None:
@@ -293,7 +286,10 @@ def _audit_rmap_and_lru(kernel, pages, seen_leaf_tables):
     stale = [pfn for pfn in rmap.overflow if rmap.mapcount[pfn] == 0]
     if stale:
         errors.append(f"rmap overflow homes of unmapped pages: {stale[:8]}")
-    if set(rmap.family) != set(seen_leaf_tables):
+    listed = {(family, pfn) for family, tables in rmap.members.items()
+              for pfn in tables}
+    live = {(leaf.family, pfn) for pfn, leaf in seen_leaf_tables.items()}
+    if listed != live:
         errors.append("rmap families do not cover exactly the live leaf "
                       "tables")
 
@@ -315,20 +311,17 @@ def _audit_rmap_and_lru(kernel, pages, seen_leaf_tables):
     return errors
 
 
-def _audit_pt_sharers(kernel, expected):
-    """The sharer registry must list exactly the mms whose PMDs reference
-    each leaf table: its lists' lengths are the §3.5 share counts."""
+def _audit_sharers(seen_leaf_tables, expected):
+    """Each live leaf table's sharer list must hold exactly the mms whose
+    PMDs reference it: its length is the §3.5 share count."""
     errors = []
     for leaf_pfn, mms in expected.items():
-        registered = kernel.pt_sharers.get(leaf_pfn, [])
+        registered = seen_leaf_tables[leaf_pfn].sharers
         if sorted(map(id, registered)) != sorted(map(id, mms)):
             errors.append(
-                f"pt_sharers for leaf {leaf_pfn}: {len(registered)} "
+                f"sharers of leaf {leaf_pfn}: {len(registered)} "
                 f"registered, {len(mms)} referencing mms found"
             )
-    for leaf_pfn in kernel.pt_sharers:
-        if leaf_pfn not in expected:
-            errors.append(f"pt_sharers tracks dead leaf table {leaf_pfn}")
     return errors
 
 

@@ -29,9 +29,8 @@ def leaf_pfns(process):
 
 
 def shared_leaf_pfns(process):
-    kernel = process.kernel
-    return {pfn for pfn in leaf_pfns(process)
-            if len(kernel.pt_sharers[pfn]) > 1}
+    return {leaf.pfn for _pmd, _idx, leaf in process.mm.leaf_tables()
+            if len(leaf.sharers) > 1}
 
 
 # --------------------------------------------------------------------- #

@@ -21,7 +21,7 @@ class TestSoleOwnerSafety:
         # Child writes elsewhere in the region: copies the table.  The
         # page at `addr` is still physically shared between both.
         child.write(addr + 64 * 1024, b"child's own write")
-        assert len(machine.kernel.pt_sharers[proc.mm.get_pte_table(addr).pfn]) == 1
+        assert len(proc.mm.get_pte_table(addr).sharers) == 1
         # Parent (now sole owner of the old table) writes the shared page:
         # this MUST COW, not write in place.
         proc.write(addr, b"parent v2")
@@ -102,9 +102,9 @@ class TestDeepLineages:
         a = proc.odfork()
         b = a.odfork()
         c = b.odfork()
-        assert len(machine.kernel.pt_sharers[leaf.pfn]) == 4
+        assert len(leaf.sharers) == 4
         b.write(addr, b"x")   # b copies
-        assert len(machine.kernel.pt_sharers[leaf.pfn]) == 3
+        assert len(leaf.sharers) == 3
         for p in (c, b, a):
             p.exit()
         b_parent_waits = a  # reap in lineage order

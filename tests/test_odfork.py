@@ -13,7 +13,7 @@ def leaf_info(machine, process, addr):
     pmd_table, index = process.mm.walk_to_pmd(addr)
     leaf_pfn = int(entry_pfn(pmd_table.entries[index]))
     leaf = machine.kernel.resolve_table(leaf_pfn)
-    return pmd_table, index, leaf, len(machine.kernel.pt_sharers[leaf_pfn])
+    return pmd_table, index, leaf, len(leaf.sharers)
 
 
 class TestSharing:
@@ -91,9 +91,9 @@ class TestDeferredCopy:
         addr, _ = make_filled_region(proc)
         _, _, leaf, _ = leaf_info(machine, proc, addr)
         child = proc.odfork()
-        assert len(machine.kernel.pt_sharers[leaf.pfn]) == 2
+        assert len(leaf.sharers) == 2
         child.write(addr, b"x")
-        assert len(machine.kernel.pt_sharers[leaf.pfn]) == 1
+        assert len(leaf.sharers) == 1
         # The child now has its own dedicated table.
         _, _, child_leaf, child_rc = leaf_info(machine, proc.machine and child, addr)
         assert child_leaf is not leaf

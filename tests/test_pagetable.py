@@ -20,6 +20,7 @@ from repro.paging import (
     page_offset,
     table_index,
 )
+from repro.paging.store import EntryStore
 
 
 class TestAddressArithmetic:
@@ -54,13 +55,13 @@ class TestAddressArithmetic:
 
 class TestPageTable:
     def test_fresh_table_empty(self):
-        table = PageTable(LEVEL_PTE, pfn=1)
+        table = PageTable(LEVEL_PTE, pfn=1, store=EntryStore())
         assert table.is_empty()
         assert table.present_count() == 0
         assert len(table.entries) == 512
 
     def test_set_get_clear(self):
-        table = PageTable(LEVEL_PTE, pfn=1)
+        table = PageTable(LEVEL_PTE, pfn=1, store=EntryStore())
         table.set(100, make_entry(55))
         assert table.is_present(100)
         assert table.child_pfn(100) == 55
@@ -68,21 +69,22 @@ class TestPageTable:
         assert not table.is_present(100)
 
     def test_child_pfn_of_absent_entry_is_bug(self):
-        table = PageTable(LEVEL_PMD, pfn=1)
+        table = PageTable(LEVEL_PMD, pfn=1, store=EntryStore())
         with pytest.raises(KernelBug):
             table.child_pfn(0)
 
     def test_present_indices(self):
-        table = PageTable(LEVEL_PTE, pfn=1)
+        table = PageTable(LEVEL_PTE, pfn=1, store=EntryStore())
         for index in (1, 50, 511):
             table.set(index, make_entry(index))
         assert table.present_indices().tolist() == [1, 50, 511]
         assert table.present_count() == 3
 
     def test_copy_entries_from(self):
-        src = PageTable(LEVEL_PTE, pfn=1)
+        store = EntryStore()
+        src = PageTable(LEVEL_PTE, pfn=1, store=store)
         src.set(9, make_entry(99))
-        dst = PageTable(LEVEL_PTE, pfn=2)
+        dst = PageTable(LEVEL_PTE, pfn=2, store=store)
         dst.copy_entries_from(src)
         assert dst.child_pfn(9) == 99
         # Independent arrays after the copy.
@@ -91,6 +93,6 @@ class TestPageTable:
 
     def test_invalid_level(self):
         with pytest.raises(InvalidArgumentError):
-            PageTable(0, pfn=1)
+            PageTable(0, pfn=1, store=EntryStore())
         with pytest.raises(InvalidArgumentError):
-            PageTable(5, pfn=1)
+            PageTable(5, pfn=1, store=EntryStore())

@@ -59,9 +59,6 @@ class TestSwapOptIn:
         assert kernel.swap_cache is None
         assert kernel.rmap is None
         assert kernel.reclaim is None
-        # The sharer registry is unconditional (the TLB shootdown engine
-        # needs it even without swap); it just starts empty.
-        assert kernel.pt_sharers == {}
 
     def test_swap_machine_wires_subsystem(self):
         machine = swap_machine()
@@ -445,7 +442,7 @@ class TestRmapHomes:
         child_leaf, child_pte = _pte(child, moved)
         pfn = int(entry_pfn(parent_pte))
         assert int(entry_pfn(child_pte)) == pfn
-        assert rmap.family[parent_leaf.pfn] != rmap.family[child_leaf.pfn]
+        assert parent_leaf.family != child_leaf.family
         assert rmap.mapcount[pfn] == 2
         assert len(rmap.overflow[pfn]) == 1
         assert sorted(rmap.tables_for(pfn)) == sorted(

@@ -30,12 +30,14 @@ BAD = {
     "bad_fastpath.py": "fastpath-sound",
     "bad_faas_site.py": "metrics",
     "bad_copy_references.py": "refcount",
+    "bad_sharers.py": "metrics",
 }
 
 GOOD = ["good_lock.py", "good_failpoint.py", "good_refcount.py",
         "good_tlb.py", "good_ignore.py", "good_tracepoint.py",
         "good_replica.py", "good_clockcharge.py", "good_metrics.py",
-        "good_fastpath.py", "good_faas_site.py", "good_copy_references.py"]
+        "good_fastpath.py", "good_faas_site.py", "good_copy_references.py",
+        "good_sharers.py"]
 
 
 def run_fixture(name):
@@ -98,6 +100,11 @@ class TestViolationShape:
         assert violation.func == "install_table"
         assert "'table'" in violation.message
         assert "counters_deferred" in violation.message
+
+    def test_sharer_violation_names_the_sharers_counter(self):
+        (violation,) = run_fixture("bad_sharers.py")
+        assert violation.func == "share_table"
+        assert "'sharers'" in violation.message
 
     def test_faas_site_violation_names_the_unregistered_site(self):
         (violation,) = run_fixture("bad_faas_site.py")

@@ -232,9 +232,9 @@ class TestAuditDetects:
         from repro.verify import audit_machine
         machine, proc, child, _ = self._filled()
         [(_pmd, _index, leaf)] = proc.mm.leaf_tables()
-        machine.kernel.pt_sharers[leaf.pfn].append(child.mm)
+        leaf.sharers.append(child.mm)
         with pytest.raises(AssertionError,
-                           match=f"pt_sharers for leaf {leaf.pfn}: 2 "
+                           match=f"sharers of leaf {leaf.pfn}: 2 "
                                  f"registered, 1 referencing mms found"):
             audit_machine(machine)
 
@@ -242,24 +242,49 @@ class TestAuditDetects:
         from repro.verify import audit_machine
         machine, proc, _, _ = self._filled()
         [(_pmd, _index, leaf)] = proc.mm.leaf_tables()
-        machine.kernel.pt_sharers[leaf.pfn].remove(proc.mm)
+        leaf.sharers.remove(proc.mm)
         with pytest.raises(AssertionError,
-                           match=f"pt_sharers for leaf {leaf.pfn}: 0 "
+                           match=f"sharers of leaf {leaf.pfn}: 0 "
                                  f"registered, 1 referencing mms found"):
             audit_machine(machine)
 
-    def test_sharers_left_behind_by_a_freed_table_are_reported(self):
+    @staticmethod
+    def _swap_process():
+        from repro import Machine
+        machine = Machine(phys_mb=64, swap_mb=16)
+        return machine, machine.spawn_process("p")
+
+    def test_leaf_table_missing_from_its_rmap_family_is_reported(self):
+        from repro import MIB
         from repro.verify import audit_machine
-        machine, _, child, _ = self._filled()
-        [(_pmd, _index, leaf)] = child.mm.leaf_tables()
-        sharers = machine.kernel.pt_sharers
-        left_behind = list(sharers[leaf.pfn])
-        child.exit()
-        assert leaf.pfn not in sharers
-        sharers[leaf.pfn] = left_behind
+        machine, proc = self._swap_process()
+        # A shared mapping's pages live in the page cache, outside the
+        # rmap, so no page loses its home when the table leaves.
+        buf = proc.mmap_shared(2 * MIB)
+        proc.touch_range(buf, 2 * MIB, write=True)
+        audit_machine(machine)
+        leaf = proc.mm.get_pte_table(buf)
+        del machine.kernel.rmap.members[leaf.family][leaf.pfn]
         with pytest.raises(AssertionError,
-                           match=f"pt_sharers tracks dead leaf table "
-                                 f"{leaf.pfn}"):
+                           match="rmap families do not cover exactly the "
+                                 "live leaf tables"):
+            audit_machine(machine)
+
+    def test_rmap_family_listing_a_freed_table_is_reported(self):
+        from repro import MIB
+        from repro.verify import audit_machine
+        machine, proc = self._swap_process()
+        buf = proc.mmap(4 * MIB)
+        proc.touch_range(buf, 4 * MIB, write=True)
+        leaf = proc.mm.get_pte_table(buf + 2 * MIB)
+        family = leaf.family
+        proc.munmap(buf + 2 * MIB, 2 * MIB)
+        assert leaf.pfn not in machine.kernel.rmap.members.get(family, {})
+        audit_machine(machine)
+        machine.kernel.rmap.members.setdefault(family, {})[leaf.pfn] = leaf
+        with pytest.raises(AssertionError,
+                           match="rmap families do not cover exactly the "
+                                 "live leaf tables"):
             audit_machine(machine)
 
     def test_allocation_over_a_free_block_is_reported(self):

@@ -18,12 +18,14 @@ from repro.paging import (
     make_entry,
     table_index,
 )
+from repro.paging.store import EntryStore
 
 
 def build_tree(vaddr, leaf_pfn, pmd_writable=True, pte_writable=True,
                huge=False):
     """A minimal 4-level tree mapping one address; returns (pgd, tables)."""
     tables = {}
+    store = EntryStore()
 
     def register(table):
         tables[table.pfn] = table
@@ -33,9 +35,9 @@ def build_tree(vaddr, leaf_pfn, pmd_writable=True, pte_writable=True,
 
     def fresh(level):
         next_pfn[0] += 1
-        return register(PageTable(level, next_pfn[0]))
+        return register(PageTable(level, next_pfn[0], store))
 
-    pgd = register(PageTable(LEVEL_PGD, 100))
+    pgd = register(PageTable(LEVEL_PGD, 100, store))
     pud = fresh(LEVEL_PUD)
     pmd = fresh(LEVEL_PMD)
     pgd.set(table_index(vaddr, LEVEL_PGD), make_entry(pud.pfn))
