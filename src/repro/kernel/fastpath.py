@@ -88,11 +88,7 @@ from ..timing.costs import (
     FN_ZAP_PTE,
 )
 from ..trace import points
-from .fork import (
-    begin_classic_copy,
-    finish_classic_copy,
-    iter_parent_pmd_tables,
-)
+from .fork import begin_classic_copy, finish_classic_copy
 from .rmap import rmap_add_bulk, rmap_remove_bulk
 from ..sancheck.annotations import acquires, must_hold, tlb_deferred
 from .tableops import (
@@ -269,7 +265,7 @@ def fast_copy_mm_classic(kernel, parent_mm, child_mm):
     plan = []
     n_leaf_total = 0
     pud_keys = set()
-    for pmd, base in iter_parent_pmd_tables(parent_mm):
+    for pmd, base in parent_mm.pmd_tables():
         entries = pmd.entries
         present = present_mask(entries)
         if not present.any():
@@ -420,7 +416,7 @@ def _slot_release_frees_unmapped(kernel, swap_entries, all_pfns):
 
 @must_hold("mmap_lock", "ptl")
 @tlb_deferred("exit_mmap shoots the dying mm down once after the walk")
-def fast_exit_release_pmd_table(kernel, mm, pmd_table, table_base):
+def fast_exit_release_pmd_table(kernel, mm, pmd_table):
     """Vectorised ``_exit_release_pmd_table``; returns True when engaged.
 
     The caller is responsible for checking :func:`fast_path_ok`.

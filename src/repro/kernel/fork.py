@@ -44,41 +44,6 @@ from ..sancheck.annotations import (
 from ..trace import points
 
 
-def iter_parent_pmd_tables(mm):
-    """Yield ``(pmd_table, table_base_vaddr)`` for every PMD table in ``mm``.
-
-    Each PMD table covers 1 GiB of address space; odfork processes entries
-    a whole table at a time with vectorised operations.
-    """
-    pgd = mm.pgd
-    for pgd_index in pgd.present_indices().tolist():
-        pud = mm.resolve(pgd.child_pfn(pgd_index))
-        for pud_index in pud.present_indices().tolist():
-            pmd = mm.resolve(pud.child_pfn(pud_index))
-            base = (
-                pgd_index * LEVEL_SPAN[LEVEL_PGD]
-                + pud_index * LEVEL_SPAN[LEVEL_PUD]
-            )
-            yield pmd, base
-
-
-def iter_parent_slots(mm):
-    """Yield ``(pmd_table, pmd_index, slot_start, entry)`` for every present
-    PMD entry in ``mm``, in address order.
-
-    The slot list is taken up front and each entry re-read when its slot
-    comes up, skipping one no longer present: the SMP fork flow lets
-    other tasks run between slots.
-    """
-    slots = [(pmd, pmd_index, base + pmd_index * LEVEL_SPAN[LEVEL_PMD])
-             for pmd, base in iter_parent_pmd_tables(mm)
-             for pmd_index in pmd.present_indices().tolist()]
-    for pmd, pmd_index, slot_start in slots:
-        entry = pmd.entries[pmd_index]
-        if is_present(entry):
-            yield pmd, pmd_index, slot_start, entry
-
-
 #: Yielded by the fork walks after each slot; before it they yield the
 #: slot's split-lock key (:func:`slot_lock_key`).
 SLOT_DONE = "slot-done"
@@ -266,7 +231,7 @@ def classic_copy_walk(kernel, parent_mm, child_mm):
     """
     builder = begin_classic_copy(kernel, parent_mm, child_mm)
     n_slots = n_leaf_tables = 0
-    for pmd, pmd_index, slot_start, entry in iter_parent_slots(parent_mm):
+    for pmd, pmd_index, slot_start, entry in parent_mm.present_slots():
         yield slot_lock_key(entry)
         n_leaf_tables += classic_copy_slot(kernel, parent_mm, child_mm,
                                            builder, pmd, pmd_index,

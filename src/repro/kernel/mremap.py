@@ -30,9 +30,10 @@ from ..paging.entries import (
     present_mask,
     swap_mask,
 )
-from ..paging.table import LEVEL_PTE, level_base, table_index
+from ..paging.table import LEVEL_PTE, PMD_REGION_SIZE, level_base, table_index
 from .rmap import rmap_move
 from .tableops import copy_shared_pte_table, put_pte_table
+from .thp import split_huge_entry
 from ..sancheck.annotations import acquires, must_hold
 
 
@@ -63,7 +64,6 @@ def move_mapping(kernel, mm, vma, new_size):
     old_start, old_end = vma.start, vma.end
     # A 2 MiB-aligned target keeps the destination slots disjoint from the
     # source slots even when the free gap is adjacent to the old mapping.
-    from ..paging.table import PMD_REGION_SIZE
     new_start = mm.find_free_area(new_size, align=PMD_REGION_SIZE)
     new_vma = vma.clone(start=new_start, end=new_start + new_size)
     new_vma.file_offset = vma.file_offset
@@ -78,18 +78,20 @@ def move_mapping(kernel, mm, vma, new_size):
     # failed syscall over a torn but audit-clean mapping, as with a
     # mid-copy fork abort.
     moved = 0
-    for pmd_table, pmd_index, slot_start, lo, hi in mm.pmd_slots(old_start, old_end):
+    for pmd_table, pmd_index, slot_start, entry in mm.present_slots(old_start,
+                                                                    old_end):
         kernel.failpoints.hit("mremap.move_slot")
-        entry = pmd_table.entries[pmd_index]
-        if not is_present(entry):
-            continue
         if is_huge(entry):
-            raise KernelBug("mremap over hugetlb should have been rejected")
-        leaf = mm.resolve(int(entry_pfn(entry)))
+            # A THP slot (sys_mremap refuses hugetlb): split it, then move
+            # its 4 KiB entries like any others.
+            leaf = split_huge_entry(kernel, mm, pmd_table, pmd_index,
+                                    slot_start)
+        else:
+            leaf = mm.resolve(int(entry_pfn(entry)))
         if len(leaf.sharers) > 1:
             leaf = copy_shared_pte_table(kernel, mm, pmd_table, pmd_index, slot_start)
-        lo_index = (lo - slot_start) // PAGE_SIZE
-        hi_index = (hi - slot_start) // PAGE_SIZE
+        lo_index = max(old_start - slot_start, 0) // PAGE_SIZE
+        hi_index = min(old_end - slot_start, PMD_REGION_SIZE) // PAGE_SIZE
         sub = leaf.entries[lo_index:hi_index]
         mask = present_mask(sub)
         if kernel.swap is not None:

@@ -46,8 +46,6 @@ from .fork import (
     ChildTreeBuilder,
     _slot_needs_cow,
     clone_vmas,
-    iter_parent_pmd_tables,
-    iter_parent_slots,
     slot_lock_key,
 )
 from ..paging.table import LEVEL_PMD, LEVEL_SPAN
@@ -158,7 +156,7 @@ def copy_mm_odf(kernel, parent_mm, child_mm, share_huge=False):
     """Share ``parent_mm``'s leaf tables into ``child_mm`` (§3.1, §3.5)."""
     builder = begin_odf_copy(kernel, parent_mm, child_mm)
     shared_tables = 0
-    for parent_pmd, table_base in iter_parent_pmd_tables(parent_mm):
+    for parent_pmd, table_base in parent_mm.pmd_tables():
         present = present_mask(parent_pmd.entries)
         if present.any():
             shared_tables += share_pmd_entries(
@@ -180,7 +178,7 @@ def odf_share_walk(kernel, parent_mm, child_mm):
     """
     builder = begin_odf_copy(kernel, parent_mm, child_mm)
     shared_tables = 0
-    for pmd, pmd_index, slot_start, entry in iter_parent_slots(parent_mm):
+    for pmd, pmd_index, slot_start, entry in parent_mm.present_slots():
         key = slot_lock_key(entry)
         yield key
         if key is not None:

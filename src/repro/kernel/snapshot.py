@@ -42,7 +42,6 @@ from ..errors import InvalidArgumentError, KernelBug
 from ..mem.page import has_duplicates
 from ..paging.entries import BIT_RW, entry_pfn, is_huge, is_present, present_mask
 from ..paging.table import PMD_REGION_SIZE
-from .fork import iter_parent_slots
 from .rmap import rmap_add_bulk
 from .tableops import (
     copy_shared_pte_table,
@@ -85,14 +84,14 @@ class Snapshot:
         kernel.cost.charge_syscall()
         # Refuse before write-protecting anything: a refusal must leave
         # every PTE (and so every cached translation) as it was.
-        if any(is_huge(entry) for *_, entry in iter_parent_slots(mm)):
+        if any(is_huge(entry) for *_, entry in mm.present_slots()):
             raise InvalidArgumentError(
                 "snapshot over huge mappings is not supported"
             )
         snapshot = cls(kernel, mm)
         drop_rw = np.uint64(~BIT_RW)
         try:
-            for pmd_table, pmd_index, slot_start, entry in iter_parent_slots(mm):
+            for pmd_table, pmd_index, slot_start, entry in mm.present_slots():
                 leaf = mm.resolve(int(entry_pfn(entry)))
                 if len(leaf.sharers) > 1:
                     # Unshare proactively: restore must own its tables.

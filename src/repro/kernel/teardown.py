@@ -1,8 +1,8 @@
 """Unmapping and address-space teardown.
 
-``zap_range`` is the shared engine behind ``munmap``, ``mremap`` shrinking,
-and process exit.  Its interaction with shared PTE tables implements §3.3
-of the paper:
+``zap_range`` is the engine behind ``munmap``, ``mremap`` shrinking and
+``MADV_DONTNEED``; process exit releases a whole PMD table at a time.
+Their interaction with shared PTE tables implements §3.3 of the paper:
 
 * a shared table whose whole 2 MiB slot is being unmapped is released by
   leaving its sharer list (the §3.5 count is the list's length) — the
@@ -16,8 +16,8 @@ Teardown cost is a first-class part of the model: the paper's fuzzing
 workloads are bounded by fork + child-exit, and the per-entry
 ``zap_pte_range`` work (refcount decrements, free batching) is what makes
 classic fork's exits expensive while odfork children exit in microseconds.
-``zap_range`` and the per-event exit share one per-slot body; the exit
-path drops its shared tables first, in one batch per PMD table
+The per-event exit resolves a PMD table's leaf tables once and drops
+the shared ones first, in one batch
 (:func:`~repro.kernel.tableops.drop_shared_tables`, which the exit fast
 path calls too), mirroring how cheap the real operation is: one sharer
 removal per table, no per-page work.  Nothing here keeps RSS:
@@ -30,17 +30,15 @@ from ..sancheck.annotations import acquires, must_hold, tlb_deferred
 import numpy as np
 
 from ..errors import InvalidArgumentError, KernelBug
-from ..mem.page import PAGE_SIZE
+from ..mem.page import PAGE_SIZE, PTRS_PER_TABLE
 from ..paging.entries import (
     BIT_PS,
     ENTRY_NONE,
     entry_pfn,
     is_huge,
-    is_present,
     present_mask,
 )
-from ..paging.table import LEVEL_PMD, LEVEL_SPAN, PMD_REGION_SIZE
-from .fork import iter_parent_pmd_tables
+from ..paging.table import LEVEL_PMD, PMD_REGION_SIZE
 from .tableops import (
     copy_shared_pte_table,
     drop_references,
@@ -55,34 +53,34 @@ def zap_range(kernel, mm, start, end):
     """Clear all translations for ``[start, end)`` and release pages."""
     if start % PAGE_SIZE or end % PAGE_SIZE:
         raise InvalidArgumentError("zap range must be page-aligned")
-    for pmd_table, pmd_index, slot_start, lo, hi in mm.pmd_slots(start, end):
-        _zap_pmd_slot(kernel, mm, pmd_table, pmd_index, slot_start, lo, hi)
+    for pmd_table, pmd_index, slot_start, entry in mm.present_slots(start, end):
+        _zap_pmd_slot(kernel, mm, pmd_table, pmd_index, entry, slot_start,
+                      max(start, slot_start),
+                      min(end, slot_start + PMD_REGION_SIZE))
     # Freed frames must not stay reachable through any CPU's TLB.
     kernel.tlbs.shootdown_mm(mm, start, end)
 
 
 @must_hold("mmap_lock", "ptl")
-@tlb_deferred("zap_range and exit_mmap shoot the range down after the walk")
-def _zap_pmd_slot(kernel, mm, pmd_table, pmd_index, slot_start, lo, hi):
-    """Clear ``[lo, hi)`` of the 2 MiB slot at ``slot_start`` (the per-slot
-    body of :func:`zap_range` and of the per-event exit)."""
-    entry = pmd_table.entries[pmd_index]
-    if not is_present(entry):
-        return
+@tlb_deferred("zap_range shoots the range down after the walk")
+def _zap_pmd_slot(kernel, mm, pmd_table, pmd_index, entry, slot_start, lo,
+                  hi):
+    """Clear ``[lo, hi)`` of the present 2 MiB slot at ``slot_start``."""
     whole_slot = lo == slot_start and hi == slot_start + PMD_REGION_SIZE
     if is_huge(entry):
-        vma = mm.vmas.find(slot_start)
-        is_thp = vma is None or not vma.is_hugetlb
-        if whole_slot or not is_thp:
-            _zap_huge(kernel, mm, pmd_table, pmd_index, slot_start, lo, hi)
+        if whole_slot:
+            _zap_huge(kernel, pmd_table, pmd_index)
             return
+        vma = mm.vmas.find(slot_start)
+        if vma is not None and vma.is_hugetlb:
+            raise InvalidArgumentError(
+                "hugetlb mappings unmap at 2 MiB granularity")
         # A partially unmapped THP region: split back to 4 KiB pages,
-        # then fall through to the normal leaf zap.
+        # then zap the leaf like any other.
         from .thp import split_huge_entry
-        split_huge_entry(kernel, mm, pmd_table, pmd_index, slot_start)
-        entry = pmd_table.entries[pmd_index]
-
-    leaf = mm.resolve(int(entry_pfn(entry)))
+        leaf = split_huge_entry(kernel, mm, pmd_table, pmd_index, slot_start)
+    else:
+        leaf = mm.resolve(int(entry_pfn(entry)))
     if len(leaf.sharers) > 1:
         if whole_slot:
             # §3.3 fast path: drop our reference, preserve the entries
@@ -94,17 +92,17 @@ def _zap_pmd_slot(kernel, mm, pmd_table, pmd_index, slot_start, lo, hi):
         # this table, so take a private copy before clearing entries.
         leaf = copy_shared_pte_table(kernel, mm, pmd_table, pmd_index, slot_start)
 
-    _zap_dedicated_entries(kernel, mm, leaf, slot_start, lo, hi)
+    _zap_dedicated_entries(kernel, mm, leaf, (lo - slot_start) // PAGE_SIZE,
+                           (hi - slot_start) // PAGE_SIZE)
     if leaf.is_empty():
         pmd_table.clear(pmd_index)
         put_pte_table(kernel, mm, leaf)
 
 
 @must_hold("mmap_lock", "ptl")
-@tlb_deferred("zap_range shoots the whole range down after the walk")
-def _zap_huge(kernel, mm, pmd_table, pmd_index, slot_start, lo, hi):
-    if lo != slot_start or hi != slot_start + PMD_REGION_SIZE:
-        raise InvalidArgumentError("hugetlb mappings unmap at 2 MiB granularity")
+@tlb_deferred("zap_range and exit_mmap shoot the range down after the walk")
+def _zap_huge(kernel, pmd_table, pmd_index):
+    """Clear a huge PMD entry and drop its reference on the 2 MiB page."""
     head = int(entry_pfn(pmd_table.entries[pmd_index]))
     pmd_table.clear(pmd_index)
     kernel.cost.charge_zap_entries(1)
@@ -113,10 +111,9 @@ def _zap_huge(kernel, mm, pmd_table, pmd_index, slot_start, lo, hi):
 
 
 @must_hold("mmap_lock", "ptl")
-@tlb_deferred("zap_range shoots the whole range down after the walk")
-def _zap_dedicated_entries(kernel, mm, leaf, slot_start, lo, hi):
-    lo_index = (lo - slot_start) // PAGE_SIZE
-    hi_index = (hi - slot_start) // PAGE_SIZE
+@tlb_deferred("zap_range and exit_mmap shoot the range down after the walk")
+def _zap_dedicated_entries(kernel, mm, leaf, lo_index, hi_index):
+    """Clear entries ``[lo_index, hi_index)`` of a dedicated leaf table."""
     # sancheck: ignore[clock-charge] -- with no entry present this releases only swap slots and the store below clears only swap/absent entries, below the per-present-entry zap model's resolution
     n_present = drop_references(kernel, leaf.entries[lo_index:hi_index])
     if n_present:
@@ -127,11 +124,12 @@ def _zap_dedicated_entries(kernel, mm, leaf, slot_start, lo, hi):
 
 @must_hold("mmap_lock", "ptl")
 @tlb_deferred("exit_mmap shoots the dying mm down once after the walk")
-def _exit_release_pmd_table(kernel, mm, pmd_table, table_base):
+def _exit_release_pmd_table(kernel, mm, pmd_table):
     """Release every mapping a PMD table reaches (the exit path).
 
-    Shared leaf tables are dropped in one batch; dedicated tables and
-    then huge entries, each in address order, take the per-slot body.
+    The leaf tables are resolved once.  Shared ones are dropped in one
+    batch; dedicated ones are zapped and put, then the huge entries
+    cleared, each in address order.
     """
     entries = pmd_table.entries
     present = present_mask(entries)
@@ -148,12 +146,13 @@ def _exit_release_pmd_table(kernel, mm, pmd_table, table_base):
                 mm, pmd_table, leaf_positions[np.array(shared)],
                 [leaf for leaf, s in zip(leaves, shared) if s])
             kernel.cost.charge_table_put(n_dropped)
-    # The shared slots just dropped read as absent to the per-slot body.
-    positions = leaf_positions.tolist() + np.nonzero(present & huge)[0].tolist()
-    for position in positions:
-        slot_start = table_base + position * LEVEL_SPAN[LEVEL_PMD]
-        _zap_pmd_slot(kernel, mm, pmd_table, position, slot_start, slot_start,
-                      slot_start + PMD_REGION_SIZE)
+        for position, leaf, s in zip(leaf_positions.tolist(), leaves, shared):
+            if not s:
+                _zap_dedicated_entries(kernel, mm, leaf, 0, PTRS_PER_TABLE)
+                pmd_table.clear(position)
+                put_pte_table(kernel, mm, leaf)
+    for position in np.nonzero(present & huge)[0].tolist():
+        _zap_huge(kernel, pmd_table, position)
 
 
 @acquires("mmap_lock", "ptl")
@@ -167,12 +166,12 @@ def exit_mmap(kernel, mm):
         fast_path_ok,
     )
     use_fast = fast_path_ok(kernel)
-    for pmd_table, table_base in iter_parent_pmd_tables(mm):
+    for pmd_table, _base in mm.pmd_tables():
         if not use_fast:
             count_refusal(kernel, "exit")
-        elif fast_exit_release_pmd_table(kernel, mm, pmd_table, table_base):
+        elif fast_exit_release_pmd_table(kernel, mm, pmd_table):
             continue
-        _exit_release_pmd_table(kernel, mm, pmd_table, table_base)
+        _exit_release_pmd_table(kernel, mm, pmd_table)
     for vma in list(mm.vmas):
         mm.remove_vma(vma)
     # All leaf tables are gone; release the upper levels.

@@ -6,6 +6,7 @@ from repro import MIB, Machine, SegmentationFault, PROT_READ
 from repro.errors import InvalidArgumentError
 from repro.kernel.kernel import MADV_DONTNEED, MADV_HUGEPAGE, MADV_NOHUGEPAGE
 from repro.paging import is_huge
+from repro.verify import audit_machine
 
 
 def thp_ready_process(machine, size=8 * MIB):
@@ -195,6 +196,30 @@ class TestTHPLifecycle:
         with pytest.raises(SegmentationFault):
             p.write(addr, b"x")
         p.write(addr + 1 * MIB, b"still writable")
+
+    def test_mremap_move_splits_collapsed_slots(self, machine):
+        """A THP region that must move (growth blocked by a neighbour) is
+        split back to 4 KiB entries, which move like any others."""
+        p = machine.spawn_process("thp")
+        addr = p.mmap(4 * MIB)
+        p.madvise(addr, 4 * MIB, MADV_HUGEPAGE)
+        p.touch_range(addr, 4 * MIB, write=True)
+        p.write(addr + 3 * MIB + 5, b"moved marker")
+        assert machine.run_khugepaged(p) == 2
+        p.mmap(2 * MIB)   # lands right after: growing in place is blocked
+        splits = machine.stats.thp_splits
+        new = p.mremap(addr, 4 * MIB, 8 * MIB)
+        assert new != addr
+        assert p.read(new + 3 * MIB + 5, 12) == b"moved marker"
+        assert machine.stats.thp_splits == splits + 2
+        audit_machine(machine)
+        child = p.fork()
+        assert child.read(new + 3 * MIB + 5, 12) == b"moved marker"
+        child.exit()
+        p.exit()
+        machine.init_process.wait()
+        audit_machine(machine)
+        machine.check_frame_invariants()
 
     def test_bulk_access_through_promoted_region(self, machine):
         p, addr = thp_ready_process(machine, size=4 * MIB)
