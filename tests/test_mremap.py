@@ -2,8 +2,16 @@
 
 import pytest
 
-from repro import MIB, SegmentationFault
+from repro import (
+    MAP_ANONYMOUS,
+    MAP_FIXED,
+    MAP_PRIVATE,
+    MIB,
+    SegmentationFault,
+)
 from repro.errors import InvalidArgumentError
+from repro.paging import VA_LIMIT
+from repro.verify.audit import audit_machine
 from conftest import make_filled_region
 
 
@@ -58,6 +66,25 @@ class TestGrow:
         proc.mmap(64 * 1024, addr=a + 512 * 1024, flags=0b100101)
         with pytest.raises(InvalidArgumentError):
             proc.mremap(a, 512 * 1024, 2 * MIB, may_move=False)
+
+    def test_grow_past_the_user_half_moves(self, proc, machine):
+        """Like a MAP_FIXED range, a grown one must end inside the user
+        half: a mapping at its top moves, and a fork sees the grown tail."""
+        top = proc.mmap(8192, addr=VA_LIMIT - 8192,
+                        flags=MAP_PRIVATE | MAP_ANONYMOUS | MAP_FIXED)
+        proc.write(top, b"head")
+        with pytest.raises(InvalidArgumentError):
+            proc.mremap(top, 8192, 32768, may_move=False)
+        new_addr = proc.mremap(top, 8192, 32768)
+        assert new_addr + 32768 <= VA_LIMIT
+        proc.write(new_addr + 24576, b"tail")
+        child = proc.fork()
+        assert child.read(new_addr, 4) == b"head"
+        assert child.read(new_addr + 24576, 4) == b"tail"
+        assert child.rss_bytes == proc.rss_bytes == 8192
+        child.exit()
+        proc.exit()
+        audit_machine(machine)
 
 
 class TestMove:
