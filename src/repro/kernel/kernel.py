@@ -71,6 +71,14 @@ MADV_HUGEPAGE = 14
 MADV_NOHUGEPAGE = 15
 
 
+def _require_granules(vmas, start, end, syscall):
+    """Refuse a page-aligned range that cuts a hugetlb page of ``vmas``."""
+    for vma in vmas:
+        if vma.is_hugetlb and (max(vma.start, start)
+                               | min(vma.end, end)) % HUGE_PAGE_SIZE:
+            raise InvalidArgumentError(f"{syscall} range misaligned for mapping")
+
+
 @dataclass
 class VMStats:
     """Kernel-wide event counters (the model's /proc/vmstat)."""
@@ -734,10 +742,7 @@ class Kernel:
         victims = mm.vmas.overlapping(addr, end)
         if not victims:
             return
-        for vma in victims:
-            granule = HUGE_PAGE_SIZE if vma.is_hugetlb else PAGE_SIZE
-            if (max(vma.start, addr) % granule) or (min(vma.end, end) % granule):
-                raise InvalidArgumentError("munmap range misaligned for mapping")
+        _require_granules(victims, addr, end, "munmap")
         # Split edge VMAs so the range covers whole VMAs, then zap while the
         # VMA geometry still describes the pages (table COW needs it).
         inside = mm.split_range(addr, end)
@@ -784,9 +789,8 @@ class Kernel:
             lo = max(start, slot_start)
             hi = min(end, slot_start + PMD_REGION_SIZE)
             if is_huge(entry):
-                whole = lo == slot_start and hi == slot_start + PMD_REGION_SIZE
-                vma = mm.vmas.find(slot_start) or mm.vmas.find(lo)
-                if whole or (vma is not None and vma.is_hugetlb):
+                # Only THP can be partial: hugetlb VMAs cover whole slots.
+                if lo == slot_start and hi == slot_start + PMD_REGION_SIZE:
                     # sancheck: ignore[clock-charge] -- one PMD-entry write covers 2 MiB; mprotect prices per-PTE clears and the shootdown that follows
                     pmd_table.entries[pmd_index] = entry & drop
                     self.note_table_write(pmd_table)
@@ -814,8 +818,9 @@ class Kernel:
         old_size = page_align_up(old_size)
         new_size = page_align_up(new_size)
         mm = task.mm
+        old_end = old_addr + old_size
         vma = mm.vmas.find(old_addr)
-        if vma is None or vma.start != old_addr or vma.end < old_addr + old_size:
+        if vma is None or vma.start != old_addr or vma.end < old_end:
             raise InvalidArgumentError("mremap range is not a single mapping")
         if vma.is_hugetlb:
             raise InvalidArgumentError("mremap on hugetlb not supported")
@@ -828,18 +833,19 @@ class Kernel:
             self.sys_munmap(task, old_addr + new_size, old_size - new_size,
                             _charge=False)
             return old_addr
-        # Grow: extend in place when the next gap allows, else move.  Like
-        # a MAP_FIXED range, the grown one must end in the user half.
-        grow_start = vma.end
-        delta = new_size - old_size
-        if (grow_start + delta <= VA_LIMIT
-                and not mm.vmas.any_overlap(grow_start, grow_start + delta)):
+        # Grow in place only from the VMA's end into a free gap ending in
+        # the user half (Linux's vma_expandable); else move the old range
+        # alone, leaving the rest of its VMA in place.
+        new_end = old_addr + new_size
+        if (old_end == vma.end and new_end <= VA_LIMIT
+                and not mm.vmas.any_overlap(old_end, new_end)):
             mm.remove_vma(vma)
-            grown = vma.clone(end=vma.start + new_size)
-            mm.add_vma(grown)
+            mm.add_vma(vma.clone(end=new_end))
             return old_addr
         if not may_move:
             raise InvalidArgumentError("cannot grow in place and may_move=False")
+        if old_end < vma.end:
+            vma = mm.split_vma(vma, old_end)[0]
         from .mremap import move_mapping
         return move_mapping(self, mm, vma, new_size)
 
@@ -949,9 +955,11 @@ class Kernel:
             raise InvalidArgumentError("madvise address/length invalid")
         end = addr + page_align_up(length)
         mm = task.mm
-        if not mm.vmas.overlapping(addr, end):
+        vmas = mm.vmas.overlapping(addr, end)
+        if not vmas:
             raise InvalidArgumentError("madvise over unmapped range")
         if advice == MADV_DONTNEED:
+            _require_granules(vmas, addr, end, "madvise")
             zap_range(self, mm, addr, end)
             return
         if advice in (MADV_HUGEPAGE, MADV_NOHUGEPAGE):

@@ -115,8 +115,8 @@ class MMStruct:
         A leaf (PTE) table starts with this mm as its one sharer: the
         sharer list's length is the §3.5 reference count, which guards
         both premature free and the fault handler's shared/dedicated
-        decision.  A leaf table about to receive a copy of ``copy_of``'s
-        entries joins that table's rmap family.
+        decision.  A leaf table given ``copy_of``'s entries in place (a
+        copy or an mremap target) joins that table's rmap family.
         """
         kernel = self.kernel
         pfn = kernel.alloc_table_frame()

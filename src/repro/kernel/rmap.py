@@ -10,14 +10,14 @@ Linux minimum (``_mapcount``; ``anon_vma`` is walked only at unmap time):
   call updates it in one numpy step; its 0 <-> mapped transitions drive
   the LRU in the order the pfns were passed.
 * Every leaf table belongs to a *family*, kept in its
-  ``PageTable.family``: a fresh table starts one, a classic-fork or
-  table-COW copy joins its source's.  Copies keep entry positions, so a
-  page records one *home* ``(family, index)`` when it goes from 0 to
-  mapped, and PTEs installed anywhere else (mremap moves, swap-cache
-  hits through a moved swap entry) go on a per-page overflow list until
-  the mapcount returns to 0.
+  ``PageTable.family``: a fresh table starts one; a classic-fork or
+  table-COW copy, and an mremap target, join their source's.  A page
+  records one *home* ``(family, index)`` when it goes from 0 to mapped.
+  Copies and moves keep entry positions, so every PTE of the page sits
+  at its home, as a Linux anon page keeps its ``index`` in its
+  ``anon_vma`` when mremap moves the VMA.
 * :meth:`RmapState.mappings` reads entry ``index`` of every live member
-  of each home family; the matches must add up to ``mapcount``.
+  of the home family; the matches must add up to ``mapcount``.
 
 The interesting case is the paper's: a victim mapped through a PTE
 table *shared* by on-demand-fork.  :func:`try_to_unmap` does not
@@ -51,7 +51,9 @@ from ..paging.entries import (
     INT_ACCESSED as _ACCESSED,
     INT_PFN_MASK,
     INT_PRESENT as _PRESENT,
+    entry_pfn,
     make_swap_entry,
+    present_mask,
 )
 
 _INELIGIBLE = PG_FILE | PG_COMPOUND_HEAD | PG_COMPOUND_TAIL
@@ -68,10 +70,8 @@ class RmapState:
     def __init__(self, n_frames):
         #: PTEs (one per table object) mapping each anon order-0 frame.
         self.mapcount = np.zeros(n_frames, dtype=np.int32)
-        #: ``family * 512 + index`` of each mapped frame's first mapping.
+        #: ``family * 512 + index`` of every PTE mapping each mapped frame.
         self.home = np.zeros(n_frames, dtype=np.int64)
-        #: pfn -> further homes, for mappings installed away from the home.
-        self.overflow = {}
         #: family id -> {leaf-table pfn: PageTable} of its live members
         self.members = {}
         self._next_family = 0
@@ -97,45 +97,40 @@ class RmapState:
             if not members:
                 del self.members[table.family]
 
+    def rejoin(self, table, family):
+        """Move a leaf table that maps no anonymous page into ``family``."""
+        self.leave([table])
+        table.family = family
+        self.members.setdefault(family, {})[table.pfn] = table
+
     def home_of(self, table, index):
         """The home value of entry ``index`` of a leaf table."""
         return table.family * PTRS_PER_TABLE + index
 
-    def add_home(self, pfn, home):
-        """A mapped page gained a PTE at ``home``; remember it if new."""
-        if home != self.home.item(pfn):
-            extra = self.overflow.setdefault(pfn, [])
-            if home not in extra:
-                extra.append(home)
-
     # ---- reverse lookup ---------------------------------------------------
 
     def mappings(self, pfn):
-        """``{leaf table: [entry index, ...]}`` of every PTE mapping ``pfn``.
+        """``(index, tables)``: the leaf tables whose entry ``index``
+        maps ``pfn``, the members of its home family that do.
 
         Raises :class:`KernelBug` unless the PTEs found at the page's
-        homes add up to its mapcount.
+        home add up to its mapcount.
         """
         count = self.mapcount.item(pfn)
-        found = {}
         if count == 0:
-            return found
+            return 0, []
+        family, index = divmod(self.home.item(pfn), PTRS_PER_TABLE)
         want = (int(pfn) << PAGE_SHIFT) | _PRESENT
-        matched = 0
-        for home in (self.home.item(pfn), *self.overflow.get(pfn, ())):
-            family, index = divmod(home, PTRS_PER_TABLE)
-            for table in self.members.get(family, {}).values():
-                if table.entries.item(index) & _MAPS == want:
-                    found.setdefault(table, []).append(index)
-                    matched += 1
-        if matched != count:
+        tables = [table for table in self.members.get(family, {}).values()
+                  if table.entries.item(index) & _MAPS == want]
+        if len(tables) != count:
             raise KernelBug(f"rmap: page {pfn} has mapcount {count} but "
-                            f"{matched} PTEs at its homes")
-        return found
+                            f"{len(tables)} PTEs at its home")
+        return index, tables
 
     def tables_for(self, pfn):
         """Pfns of the leaf tables mapping ``pfn``."""
-        return [table.pfn for table in self.mappings(pfn)]
+        return [table.pfn for table in self.mappings(pfn)[1]]
 
 
 def _eligible(pages, pfn):
@@ -158,7 +153,6 @@ def _unmapped(kernel, pfn, n):
         raise KernelBug(f"rmap underflow: pfn {pfn}")
     rmap.mapcount[pfn] = count
     if count == 0:
-        rmap.overflow.pop(pfn, None)
         kernel.reclaim.lru_remove(pfn)
 
 
@@ -167,14 +161,11 @@ def rmap_add(kernel, pfn, leaf, index):
     rmap = kernel.rmap
     if rmap is None or not _eligible(kernel.pages, pfn):
         return
-    home = rmap.home_of(leaf, index)
     count = rmap.mapcount.item(pfn) + 1
     rmap.mapcount[pfn] = count
     if count == 1:
-        rmap.home[pfn] = home
+        rmap.home[pfn] = rmap.home_of(leaf, index)
         kernel.reclaim.lru_add(pfn)
-    else:
-        rmap.add_home(pfn, home)
 
 
 def rmap_remove(kernel, pfn):
@@ -189,7 +180,8 @@ def rmap_add_bulk(kernel, pfns, leaf=None, indices=None, homes=None, *,
 
     ``pfns[i]`` is mapped at ``leaf.entries[indices[i]]`` (fills, COW,
     THP splits, snapshot restores), or at ``homes[i]`` (a batched fill
-    spanning several tables).  Copies — classic fork and table COW —
+    spanning several tables); a page going from 0 to mapped records
+    that position as its home.  Copies — classic fork and table COW —
     pass none: their tables joined the source's family and keep its
     entry positions, so every copied PTE sits at an existing home.
     ``_unique``: the caller already proved ``pfns`` duplicate-free.
@@ -218,9 +210,6 @@ def rmap_add_bulk(kernel, pfns, leaf=None, indices=None, homes=None, *,
         lru_add = kernel.reclaim.lru_add
         for pfn in first.tolist():
             lru_add(pfn)
-    away = np.nonzero(rmap.home[pfns] != homes)[0]
-    for pfn, home in zip(pfns[away].tolist(), homes[away].tolist()):
-        rmap.add_home(pfn, home)
 
 
 def rmap_remove_bulk(kernel, pfns, *, _unique=False):
@@ -237,18 +226,25 @@ def rmap_remove_bulk(kernel, pfns, *, _unique=False):
     left = mapcount[pfns]
     if (left < 0).any():
         raise KernelBug(f"rmap underflow: pfn {int(pfns[left < 0][0])}")
-    overflow = rmap.overflow
     lru_remove = kernel.reclaim.lru_remove
     for pfn in pfns[left == 0].tolist():
-        overflow.pop(pfn, None)
         lru_remove(pfn)
 
 
-def rmap_move(kernel, pfn, leaf, index):
-    """A mapping of ``pfn`` moved to ``leaf.entries[index]`` (mremap)."""
+def rmap_move(kernel, leaf, indices):
+    """mremap moved PTEs to ``leaf.entries[indices]`` (an int64 array);
+    each present one must still sit at its page's home, or the reverse
+    lookup would miss it."""
     rmap = kernel.rmap
-    if rmap is not None and _eligible(kernel.pages, pfn):
-        rmap.add_home(pfn, rmap.home_of(leaf, index))
+    if rmap is None:
+        return
+    entries = leaf.entries[indices]
+    present = present_mask(entries)
+    pfns, mask = _eligible_pfns(kernel.pages, entry_pfn(entries[present]))
+    away = rmap.home[pfns] != rmap.home_of(leaf, indices[present][mask])
+    if away.any():
+        raise KernelBug(f"rmap: mremap moved page {int(pfns[away][0])} "
+                        f"away from its home")
 
 
 @charge_deferred("the LRU aging loops charge charge_lru_scan per probe")
@@ -260,13 +256,13 @@ def test_and_clear_referenced(kernel, pfn):
     unshare decision applies here).
     """
     referenced = False
-    for leaf, indices in kernel.rmap.mappings(pfn).items():
+    index, tables = kernel.rmap.mappings(pfn)
+    for leaf in tables:
         entries = leaf.entries
-        for index in indices:
-            entry = entries.item(index)
-            if entry & _ACCESSED:
-                referenced = True
-                entries[index] = entry & _NOT_ACCESSED
+        entry = entries.item(index)
+        if entry & _ACCESSED:
+            referenced = True
+            entries[index] = entry & _NOT_ACCESSED
     return referenced
 
 
@@ -293,13 +289,11 @@ def try_to_unmap(kernel, pfn, slot):
     still holds it); the frame is freed here when it hits zero.
     """
     entry_value = make_swap_entry(slot)
-    total = 0
-    for leaf, indices in kernel.rmap.mappings(pfn).items():
+    index, tables = kernel.rmap.mappings(pfn)
+    total = len(tables)
+    for leaf in tables:
         kernel.san_access("pt", leaf.pfn)
-        for index in indices:
-            leaf.entries[index] = entry_value
-        n = len(indices)
-        kernel.swap_dup(slot, n)
+        leaf.entries[index] = entry_value
         sharers = leaf.sharers
         if len(sharers) > 1:
             # The unshare-or-edit decision: edit in place, charge for it.
@@ -308,8 +302,8 @@ def try_to_unmap(kernel, pfn, slot):
         # Unmapping changes translations under every sharer at once, and
         # any vCPU running one of them must be interrupted too.
         kernel.tlbs.shootdown_sharers(sharers)
-        total += n
     if total:
+        kernel.swap_dup(slot, total)
         _unmapped(kernel, pfn, total)
     kernel.cost.charge_rmap_unmap(total)
     remaining = kernel.pages.ref_dec(pfn, total)

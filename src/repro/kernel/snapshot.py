@@ -31,6 +31,8 @@ the snapshotted leaf tables themselves — munmap/mremap/MADV_DONTNEED over
 a whole slot — are not supported while a snapshot is live (khugepaged
 collapse is refused for snapshotted address spaces for the same reason);
 the fuzzing-reset workload this primitive exists for never does that.
+Even then restore keeps the rmap sound: a slot's table rebuilt since
+the save joins the saved table's rmap family once its entries are gone.
 """
 
 from __future__ import annotations
@@ -64,7 +66,8 @@ class Snapshot:
     def __init__(self, kernel, mm):
         self.kernel = kernel
         self.mm = mm
-        # (pmd_table, pmd_index, slot_start) -> saved entries copy
+        # (pmd_table, pmd_index, slot_start, rmap family of the saved
+        # table) -> saved entries copy
         self.saved = {}
         self.live = True
         self.restores = 0
@@ -102,7 +105,8 @@ class Snapshot:
                 if protect.any():
                     leaf.entries[protect] &= drop_rw
                 saved = leaf.entries.copy()
-                snapshot.saved[(pmd_table, pmd_index, slot_start)] = saved
+                snapshot.saved[(pmd_table, pmd_index, slot_start,
+                                leaf.family)] = saved
                 pfns = entry_pfn(saved[present_mask(saved)]).astype(np.int64)
                 if len(pfns):
                     kernel.pages.ref_inc_bulk(pfns)  # the snapshot's references
@@ -146,7 +150,8 @@ class Snapshot:
         self._require_live()
         kernel = self.kernel
         restored_entries = 0
-        for (pmd_table, pmd_index, slot_start), saved in self.saved.items():
+        for (pmd_table, pmd_index, slot_start, family), saved in \
+                self.saved.items():
             leaf = self._current_leaf(pmd_table, pmd_index)
             if len(leaf.sharers) > 1:
                 # An odfork after the snapshot shared this table; editing
@@ -166,6 +171,10 @@ class Snapshot:
             # transient zero refcount (which would free it).
             kernel.swap_dup_entries(saved_slice)
             drop_references(kernel, leaf.entries[positions])
+            if leaf.family != family:
+                # A table rebuilt since the save: its anonymous pages were
+                # all new and are dropped, so it can take the saved homes.
+                kernel.rmap.rejoin(leaf, family)
             saved_present = present_mask(saved_slice)
             keep_pfns = entry_pfn(saved_slice[saved_present]).astype(np.int64)
             if len(keep_pfns):
@@ -195,7 +204,7 @@ class Snapshot:
         if not self.live:
             return
         kernel = self.kernel
-        for (_pmd, _idx, _slot), saved in self.saved.items():
+        for saved in self.saved.values():
             pfns = entry_pfn(saved[present_mask(saved)]).astype(np.int64)
             if len(pfns):
                 zeroed = kernel.pages.ref_dec_bulk(pfns)

@@ -71,12 +71,9 @@ def _zap_pmd_slot(kernel, mm, pmd_table, pmd_index, entry, slot_start, lo,
         if whole_slot:
             _zap_huge(kernel, pmd_table, pmd_index)
             return
-        vma = mm.vmas.find(slot_start)
-        if vma is not None and vma.is_hugetlb:
-            raise InvalidArgumentError(
-                "hugetlb mappings unmap at 2 MiB granularity")
-        # A partially unmapped THP region: split back to 4 KiB pages,
-        # then zap the leaf like any other.
+        # A partially unmapped THP region (the syscalls refuse to cut a
+        # hugetlb one): split back to 4 KiB pages, then zap the leaf like
+        # any other.
         from .thp import split_huge_entry
         leaf = split_huge_entry(kernel, mm, pmd_table, pmd_index, slot_start)
     else:

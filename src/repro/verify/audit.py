@@ -88,6 +88,7 @@ def audit_machine(machine):
                     seen_leaf_tables[leaf_pfn] = leaf
                     leaves.append((slot_start, leaf))
         errors += _audit_rss(pages, mm, leaves, n_huge)
+        errors += _audit_vma_cover(mm, leaves)
 
     # Each leaf table *object* owns one reference per present data page.
     for leaf in seen_leaf_tables.values():
@@ -197,6 +198,25 @@ def _audit_rss(pages, mm, leaves, n_huge):
     return errors
 
 
+def _audit_vma_cover(mm, leaves):
+    """Every present or swap entry of an mm's leaf tables must lie inside
+    one of its VMAs: an entry outside them is memory no syscall can reach
+    or unmap until exit."""
+    errors = []
+    for slot_start, leaf in leaves:
+        entries = leaf.entries
+        stray = present_mask(entries) | swap_mask(entries)
+        for vma in mm.vmas.overlapping(slot_start,
+                                       slot_start + LEVEL_SPAN[LEVEL_PMD]):
+            stray[max(vma.start - slot_start, 0) >> PAGE_SHIFT:
+                  (vma.end - slot_start) >> PAGE_SHIFT] = False
+        if stray.any():
+            vaddr = slot_start + (int(np.argmax(stray)) << PAGE_SHIFT)
+            errors.append(f"mm of pid {mm.owner_pid}: entry at {vaddr:#x} "
+                          f"outside every VMA")
+    return errors
+
+
 def _audit_swap(kernel, seen_leaf_tables):
     """Recompute swap_map from table objects + snapshots; check the cache
     and the free list."""
@@ -283,9 +303,6 @@ def _audit_rmap_and_lru(kernel, pages, seen_leaf_tables):
         if found != tables:
             errors.append(f"rmap lookup for page {pfn}: found tables "
                           f"{sorted(found)}, walk found {sorted(tables)}")
-    stale = [pfn for pfn in rmap.overflow if rmap.mapcount[pfn] == 0]
-    if stale:
-        errors.append(f"rmap overflow homes of unmapped pages: {stale[:8]}")
     listed = {(family, pfn) for family, tables in rmap.members.items()
               for pfn in tables}
     live = {(leaf.family, pfn) for pfn, leaf in seen_leaf_tables.items()}

@@ -470,8 +470,10 @@ class TraceExecutor:
         if not spec or self._snap_locked(op["proc"]):
             return ("skip",)
         addr, pages, granule = spec
+        # ``old_pages`` remaps the region's head; a tail left behind drops out.
+        old_pages = min(max(1, int(op.get("old_pages", pages))), pages)
         new_pages = max(1, int(op["new_pages"]))
-        new_addr = st["process"].mremap(addr, pages * granule,
+        new_addr = st["process"].mremap(addr, old_pages * granule,
                                         new_pages * granule)
         st["regions"][op["region"]] = [new_addr, new_pages]
         return ("ok", new_addr)

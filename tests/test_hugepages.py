@@ -68,6 +68,25 @@ class TestHugeMappings:
             p.munmap(addr, 1 * MIB)
         p.munmap(addr, 2 * MIB)  # whole huge page: fine
 
+    def test_partial_huge_dontneed_refused_before_zapping(self, machine):
+        """A DONTNEED range ending inside a hugetlb page is refused before
+        any slot is zapped: the first slot keeps its data, and no CPU
+        keeps a translation over a freed frame."""
+        from repro import MADV_DONTNEED
+        from repro.verify.audit import audit_machine
+        p = machine.spawn_process("huge")
+        addr = p.mmap_huge(4 * MIB)
+        p.touch_range(addr, 4 * MIB, write=True)
+        p.write(addr, b"keep")
+        with pytest.raises(InvalidArgumentError):
+            p.madvise(addr, 3 * MIB, MADV_DONTNEED)
+        assert p.rss_bytes == 4 * MIB
+        audit_machine(machine)
+        assert p.read(addr, 4) == b"keep"
+        p.madvise(addr, 2 * MIB, MADV_DONTNEED)  # whole huge page: fine
+        assert p.rss_bytes == 2 * MIB
+        audit_machine(machine)
+
     def test_huge_unmap_frees_compound(self, machine):
         p = machine.spawn_process("huge")
         addr = p.mmap_huge(2 * MIB)

@@ -416,12 +416,13 @@ def _pte(process, vaddr):
 
 
 class TestRmapHomes:
-    """Pages mapped away from their rmap home.
+    """Pages keep their one rmap home through mremap.
 
     A classic-fork child's tables join the parent's table families, so a
-    shared page's two PTEs sit at one home.  An mremap in the child moves
-    its PTE into a table of a fresh family: the page then has two homes,
-    and the reverse lookup must still find (and unmap) both PTEs.
+    shared page's two PTEs sit at one home.  An mremap in the child keeps
+    the mapping's offset within its 2 MiB slot and moves its PTE into a
+    table of the same family: the page keeps its one home, and the
+    reverse lookup must still find (and unmap) both PTEs.
     """
 
     def _forked_then_moved(self):
@@ -435,16 +436,16 @@ class TestRmapHomes:
         assert moved != addr
         return machine, parent, child, addr, moved
 
-    def test_eviction_unmaps_a_page_at_two_homes(self):
+    def test_eviction_unmaps_both_ptes_of_a_moved_page(self):
         machine, parent, child, addr, moved = self._forked_then_moved()
         rmap = machine.kernel.rmap
         parent_leaf, parent_pte = _pte(parent, addr)
         child_leaf, child_pte = _pte(child, moved)
         pfn = int(entry_pfn(parent_pte))
         assert int(entry_pfn(child_pte)) == pfn
-        assert parent_leaf.family != child_leaf.family
+        assert parent_leaf.family == child_leaf.family
+        assert (moved - addr) % (2 * MIB) == 0
         assert rmap.mapcount[pfn] == 2
-        assert len(rmap.overflow[pfn]) == 1
         assert sorted(rmap.tables_for(pfn)) == sorted(
             [parent_leaf.pfn, child_leaf.pfn])
         audit_machine(machine)
@@ -460,11 +461,11 @@ class TestRmapHomes:
         assert (parent.mm.rss_anon_pages, child.mm.rss_anon_pages) == \
             (rss[0] - 1, rss[1] - 1)
         assert rmap.mapcount[pfn] == 0
-        assert pfn not in rmap.overflow
         audit_machine(machine)
 
     def test_swap_cache_hit_through_a_moved_swap_entry(self):
-        # Evict first, then move: the child's swap entry is what moves.
+        # Evict first, then move: the child's swap entry is what moves,
+        # and the cache hit maps the page at its home.
         machine = swap_machine(phys_mb=64, swap_mb=64)
         parent = machine.spawn_process("parent")
         addr = parent.mmap(1 * MIB)
@@ -485,7 +486,8 @@ class TestRmapHomes:
         pfn = int(entry_pfn(_pte(parent, addr)[1]))
         assert int(entry_pfn(_pte(child, moved)[1])) == pfn
         assert rmap.mapcount[pfn] == 2
-        assert len(rmap.overflow[pfn]) == 1
+        assert (_pte(parent, addr)[0].family
+                == _pte(child, moved)[0].family)
         audit_machine(machine)
 
         assert machine.kernel.reclaim.shrink(1, from_kswapd=False) == 1

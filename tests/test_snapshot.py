@@ -151,6 +151,35 @@ class TestRestrictions:
         audit_machine(machine)
 
 
+    def test_restore_into_a_rebuilt_slot_keeps_rmap_homes(self):
+        """Unsupported, yet sound: a slot's table freed by a whole-slot
+        DONTNEED and rebuilt by a fault takes the saved table's rmap
+        family at restore, so the restored PTEs of pages a classic-fork
+        child still maps sit at their homes, and reclaim finds both."""
+        from repro import MADV_DONTNEED
+        machine = Machine(phys_mb=64, swap_mb=64)
+        p = machine.spawn_process("snap-rebuilt")
+        addr = p.mmap(4 * MIB)
+        slot = -(-addr // (2 * MIB)) * (2 * MIB)
+        p.touch_range(addr, 4 * MIB, write=True)
+        p.write(slot, b"saved")
+        snapshot = p.snapshot()
+        child = p.fork()
+        p.madvise(slot, 2 * MIB, MADV_DONTNEED)
+        p.touch_range(slot, 2 * MIB, write=True)
+        p.write(slot, b"fresh")
+        snapshot.restore()
+        audit_machine(machine)
+        assert p.read(slot, 5) == child.read(slot, 5) == b"saved"
+        machine.kernel.reclaim.shrink(256, from_kswapd=False)
+        audit_machine(machine)
+        assert p.read(slot, 5) == child.read(slot, 5) == b"saved"
+        child.exit()
+        p.wait()
+        snapshot.discard()
+        audit_machine(machine)
+
+
 class TestFuzzResetPattern:
     def test_snapshot_reset_loop_like_fuzzer(self, machine):
         """The Xu et al. use case: N inputs, one process, full resets."""

@@ -248,6 +248,19 @@ class TestAuditDetects:
                                  f"registered, 1 referencing mms found"):
             audit_machine(machine)
 
+    def test_entry_outside_every_vma_is_reported(self):
+        from repro import MIB
+        from repro.verify import audit_machine
+        machine, proc, _, _ = self._filled()
+        vma = next(iter(proc.mm.vmas))      # the touched 2 MiB buffer
+        assert not vma.is_hugetlb
+        proc.mm.remove_vma(vma)
+        proc.mm.add_vma(vma.clone(end=vma.end - MIB))
+        with pytest.raises(AssertionError,
+                           match=f"entry at {vma.end - MIB:#x} outside "
+                                 f"every VMA"):
+            audit_machine(machine)
+
     @staticmethod
     def _swap_process():
         from repro import Machine
